@@ -35,7 +35,7 @@ from repro.bench import build_workloads  # noqa: E402
 from repro.persist import CheckpointStore, Session, fixpoint_digest  # noqa: E402
 
 WORKLOAD = "bench_scaling"
-ENGINE_KEY = "slots-cost"
+ENGINE_KEY = "slots"
 # Pace the child's rounds so the kill reliably lands mid-fixpoint.
 CHILD_THROTTLE = 0.2
 

@@ -1,19 +1,15 @@
 """The engine benchmark harness behind ``repro bench``.
 
-Runs a fixed suite of evaluation workloads on four engine
-configurations and reports wall-clock timings, the
+Runs a fixed suite of evaluation workloads on both engines and reports
+wall-clock timings, the
 :class:`~repro.datalog.evaluation.EvaluationStats` work counters, and a
 fixpoint digest per engine:
 
-* ``interpreted`` — the seed tuple-at-a-time interpreter (dict
-  environments, greedy bound-count join order);
-* ``slots-greedy`` — the compiled slot-based engine running the *same*
-  join order as the interpreter (isolates the compilation win);
-* ``slots-cost`` — the compiled engine with cost-based body reordering
-  (the default engine; adds the plan win on top);
-* ``slots-columnar`` — the compiled engine over the dictionary-encoded
-  columnar backend, executing one block kernel per join step per delta
-  block (adds the batching win; see ``docs/storage.md``).
+* ``interpreted`` — the tuple-at-a-time interpreter over row storage
+  (dict environments, greedy bound-count join order): the reference;
+* ``slots`` — the compiled engine: cost-ordered plans executed as one
+  block kernel per join step per delta block over columnar storage
+  (the default engine; see ``docs/storage.md``).
 
 Every engine must compute **byte-identical fixpoints** (same IDB facts
 on every workload); :func:`run_bench` flags any mismatch and the CLI
@@ -37,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .datalog.database import Database
-from .datalog.evaluation import EvaluationStats, evaluate
+from .datalog.evaluation import ENGINE_STORAGE, EvaluationStats, evaluate
 from .datalog.program import Program
 from .digest import fixpoint_digest
 from .magic import run_pipeline
@@ -70,9 +66,7 @@ __all__ = [
 #: label -> evaluate() keyword arguments, in report order.
 ENGINE_CONFIGS: tuple[tuple[str, dict[str, str]], ...] = (
     ("interpreted", {"engine": "interpreted"}),
-    ("slots-greedy", {"engine": "slots", "plan_order": "greedy"}),
-    ("slots-cost", {"engine": "slots", "plan_order": "cost"}),
-    ("slots-columnar", {"engine": "slots", "plan_order": "cost", "storage": "columnar"}),
+    ("slots", {"engine": "slots"}),
 )
 
 
@@ -260,19 +254,17 @@ def _run_engine(
     deterministic, only the wall clock varies.  With a governor, a
     budget trip keeps the partial fixpoint (``tripped`` is True and the
     digest covers only what was derived before the trip)."""
-    engine_kwargs = dict(engine_kwargs)
-    storage = engine_kwargs.pop("storage", None)
+    storage = ENGINE_STORAGE[engine_kwargs["engine"]]
     best = float("inf")
     stats = EvaluationStats()
     digest = ""
     tripped = False
     for attempt in range(repeat):
-        databases = [unit.make_database() for unit in units]
-        if storage is not None:
-            # Dictionary-encoding the EDB is a load-time cost (a resident
-            # tenant pays it once at registration), so it sits outside
-            # the timed region — like parsing, not like index builds.
-            databases = [db.to_storage(storage) for db in databases]
+        # The EDB is built in the engine's storage representation
+        # outside the timed region: encoding it is a load-time cost (a
+        # resident tenant pays it once at registration), like parsing,
+        # not like index builds.
+        databases = [unit.make_database().to_storage(storage) for unit in units]
         start = time.perf_counter()
         results = []
         for unit, database in zip(units, databases):
@@ -801,9 +793,7 @@ def _run_serve_bench(
             goal = parse_atom(goal_text)
             report = run_pipeline(program, (), goal, order="semantic-first")
             assert report.program is not None
-            result = evaluate(
-                report.program, database, engine="slots", plan_order="cost"
-            )
+            result = evaluate(report.program, database, engine="slots")
             expected[(name, goal_text)] = rows_payload(
                 frozenset(
                     row for row in result.query_rows()
@@ -919,7 +909,6 @@ def run_bench(
     timeout: float | None = None,
     max_iterations: int | None = None,
     max_facts: int | None = None,
-    storage: str | None = None,
     workers: int | None = None,
 ) -> dict:
     """Run the suite; return the JSON-ready results payload.
@@ -935,11 +924,6 @@ def run_bench(
     ``payload["ok"]`` is False when any workload's fixpoints differ
     between engines — the CLI turns that into a non-zero exit.
 
-    ``storage`` forces every engine config onto one backend (the CI
-    ``storage-matrix`` leg runs the whole suite under ``columnar`` to
-    assert the digest gate holds with no rows-backend runs in the mix);
-    by default each config uses its own choice.
-
     ``timeout`` / ``max_iterations`` / ``max_facts`` govern the runs
     (the timeout is shared across the whole suite).  An engine entry
     that trips a budget keeps its partial stats; its workload is marked
@@ -952,20 +936,7 @@ def run_bench(
         timeout=timeout, max_iterations=max_iterations, max_facts=max_facts
     )
     governor = None if budget.unlimited else Governor(budget)
-    if storage is not None:
-        from .datalog.database import STORAGES
-
-        if storage not in STORAGES:
-            raise ValueError(
-                f"unknown storage {storage!r} (available: {', '.join(STORAGES)})"
-            )
-    configs = (
-        ENGINE_CONFIGS
-        if storage is None
-        else tuple(
-            (label, {**kwargs, "storage": storage}) for label, kwargs in ENGINE_CONFIGS
-        )
-    )
+    configs = ENGINE_CONFIGS
     suite = build_workloads(quick=quick)
     # ``bench_serve`` is not an engine workload (it benchmarks the
     # daemon, not an evaluate() configuration) but is selectable by
@@ -986,7 +957,6 @@ def run_bench(
         "quick": quick,
         "repeat": repeat,
         "engines": [label for label, _ in configs],
-        "storage": storage,
         "workers": workers,
         "workloads": {},
         "ok": True,
@@ -1035,14 +1005,6 @@ def run_bench(
             entry.setdefault("rows_scanned_vs_interpreted", {})[label] = (
                 other["stats"]["rows_scanned"] - base["stats"]["rows_scanned"]
             )
-        if {"slots-cost", "slots-columnar"} <= entry["engines"].keys():
-            # The headline columnar number: same engine, same plans,
-            # only the storage backend (and its block kernels) differ.
-            rows_time = entry["engines"]["slots-cost"]["time_s"]
-            col_time = entry["engines"]["slots-columnar"]["time_s"]
-            entry["speedup_columnar_vs_rows"] = (
-                rows_time / col_time if col_time > 0 else float("inf")
-            )
         if workers_axis:
             by_count = {
                 str(count): _run_parallel(units, count, repeat, governor)
@@ -1061,7 +1023,7 @@ def run_bench(
             else:
                 # The sharded digests join the cross-engine gate: every
                 # worker count must reproduce the sequential fixpoint.
-                reference = digests.get("slots-columnar") or next(
+                reference = digests.get("slots") or next(
                     iter(digests.values())
                 )
                 parallel["fixpoints_match"] = all(
@@ -1069,7 +1031,7 @@ def run_bench(
                 )
                 if not parallel["fixpoints_match"]:
                     payload["ok"] = False
-            columnar = entry["engines"].get("slots-columnar")
+            columnar = entry["engines"].get("slots")
             if columnar is not None and columnar["time_s"] > 0:
                 parallel["speedup_parallel_vs_columnar"] = {
                     # Quoted on the modeled critical path (see
@@ -1110,7 +1072,7 @@ def run_bench(
                     entry["budget_exceeded"] = True
                     payload["budget_exceeded"] = True
             else:
-                reference = digests.get("slots-columnar") or next(
+                reference = digests.get("slots") or next(
                     iter(digests.values())
                 )
                 recovery["digest_match"] = (
@@ -1125,7 +1087,7 @@ def run_bench(
         payload["checkpoint_overhead"] = dict(
             _run_checkpoint_overhead(suite["bench_scaling"], repeat, governor),
             workload="bench_scaling",
-            engine="slots-cost",
+            engine="slots",
         )
         overhead = payload["checkpoint_overhead"]
         if overhead["fixpoints_match"] is False:
@@ -1135,7 +1097,7 @@ def run_bench(
         payload["journal"] = dict(
             _run_journal(suite["bench_scaling"], repeat, governor),
             workload="bench_scaling",
-            engine="slots-cost",
+            engine="slots",
         )
         if payload["journal"]["digest_match"] is False:
             payload["ok"] = False
@@ -1207,9 +1169,7 @@ def render_results(payload: Mapping) -> str:
             verdict = "match" if entry["fixpoints_match"] else "DIFFER"
             if parallel and parallel.get("fixpoints_match") is False:
                 verdict = "DIFFER (sharded)"
-            columnar = entry.get("speedup_columnar_vs_rows")
-            extra = "" if columnar is None else f"; columnar {columnar:.2f}x vs rows"
-            lines.append(f"{'':<18} fixpoints {verdict}{extra}")
+            lines.append(f"{'':<18} fixpoints {verdict}")
     overhead = payload.get("checkpoint_overhead")
     if overhead:
         lines.append("")

@@ -67,8 +67,8 @@ from .core.emptiness import is_empty_program, unsatisfiable_initialization_rules
 from .core.reachability import is_satisfiable
 from .core.rewrite import optimize
 from .cq.conjunctive import ConjunctiveQuery, UnionOfConjunctiveQueries
-from .datalog.database import STORAGES, Database
-from .datalog.evaluation import evaluate
+from .datalog.database import Database
+from .datalog.evaluation import ENGINE_STORAGE, REMOVED_OPTIONS, evaluate
 from .datalog.parser import (
     parse_atom,
     parse_constraints,
@@ -192,13 +192,15 @@ def _load_database(path: str) -> Database:
 def _database_from(args: argparse.Namespace, inline_facts) -> Database:
     """Combine a program file's inline facts with an optional --data file.
 
-    Commands that expose ``--storage`` get their EDB built directly in
-    the requested backend; the rest default to row storage.
+    The EDB is built directly in the storage representation of the
+    command's engine (``--engine``, default the compiled engine), so
+    evaluation never converts it.
     """
     facts = list(inline_facts)
     if getattr(args, "data", None):
         facts.extend(parse_facts(_read(args.data)))
-    return Database(facts, storage=getattr(args, "storage", "rows"))
+    engine = getattr(args, "engine", None) or "slots"
+    return Database(facts, storage=ENGINE_STORAGE[engine])
 
 
 def _with_optional_trace(args: argparse.Namespace, body) -> int:
@@ -250,7 +252,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             program,
             database,
             engine=args.engine,
-            plan_order=args.plan_order,
             workers=workers,
             supervision=supervision,
             budget=governor,
@@ -388,7 +389,6 @@ def _session_from(args: argparse.Namespace) -> Session:
         checkpoint_every=args.checkpoint_every,
         strategy=args.strategy,
         engine=args.engine,
-        plan_order=args.plan_order,
         workers=_workers_from(args),
         budget=_budget_from(args),
         throttle=args.throttle,
@@ -511,7 +511,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
                     facts=None if not args.data else _read(args.data),
                     query=args.query,
                     engine=args.engine,
-                    storage=args.storage,
                     workers=args.workers,
                 )
             elif args.client_command == "inspect":
@@ -582,7 +581,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         database,
         strategy=args.strategy,
         engine=args.engine,
-        plan_order=args.plan_order,
         workers=_workers_from(args),
         supervision=_supervision_from(args),
     )
@@ -605,7 +603,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             max_iterations=args.max_iterations,
             max_facts=args.max_facts,
-            storage=args.storage,
             workers=args.workers,
         )
     except ValueError as exc:
@@ -685,6 +682,14 @@ def _cmd_contained(args: argparse.Namespace) -> int:
     return 0 if answer else 1
 
 
+class _RemovedFlag(argparse.Action):
+    """Refuse a removed flag with exit code 2, naming its replacement."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        reason = REMOVED_OPTIONS[option_string.lstrip("-").replace("-", "_")]
+        raise UsageError(f"{option_string} was removed: {reason}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -704,6 +709,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--dot", help="write the query tree as a DOT file")
     cmd.set_defaults(func=_cmd_optimize)
 
+    def removed_flag(cmd, flag: str) -> None:
+        # Hidden and refused with the replacement named, rather than
+        # left to argparse's generic "unrecognized arguments".
+        cmd.add_argument(
+            flag, action=_RemovedFlag, nargs="?", help=argparse.SUPPRESS
+        )
+
     def trace_flag(cmd) -> None:
         cmd.add_argument(
             "--trace", action="store_true",
@@ -713,22 +725,15 @@ def build_parser() -> argparse.ArgumentParser:
     def engine_flags(cmd) -> None:
         cmd.add_argument(
             "--engine", default="slots", choices=("slots", "interpreted"),
-            help="join engine: compiled slot plans (default) or the interpreter",
+            help="join engine: compiled plans over columnar storage "
+            "(default) or the interpreter over row storage",
         )
-        cmd.add_argument(
-            "--plan-order", default="cost", choices=("cost", "greedy"),
-            help="compiled-plan body order: cost-based (default) or greedy",
-        )
-        cmd.add_argument(
-            "--storage", default="rows", choices=STORAGES,
-            help="fact storage: per-row tuple sets (default) or "
-            "dictionary-encoded column arrays with block-at-a-time joins",
-        )
+        removed_flag(cmd, "--storage")
+        removed_flag(cmd, "--plan-order")
         cmd.add_argument(
             "--workers", type=int, default=None, metavar="N",
             help="shard semi-naive evaluation across N forked worker "
-            "processes (requires the slot engine; evaluation runs on "
-            "columnar storage — see docs/parallel.md)",
+            "processes (requires the slot engine — see docs/parallel.md)",
         )
         cmd.add_argument(
             "--worker-retries", type=int, default=None, metavar="N",
@@ -910,10 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     ccmd.add_argument("--data", help="fact file")
     ccmd.add_argument("--query", help="query predicate name")
     ccmd.add_argument("--engine", choices=("slots", "interpreted"), help="join engine")
-    ccmd.add_argument(
-        "--storage", choices=STORAGES,
-        help="tenant fact storage backend (daemon default: rows)",
-    )
+    removed_flag(ccmd, "--storage")
     ccmd.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="shard this tenant's fixpoint runs across N forked processes",
@@ -982,11 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--workloads", help="comma-separated subset (default: the whole suite)"
     )
-    cmd.add_argument(
-        "--storage", choices=STORAGES, default=None,
-        help="force every engine config onto one storage backend "
-        "(default: each config's own choice)",
-    )
+    removed_flag(cmd, "--storage")
     cmd.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="also benchmark sharded evaluation at worker counts "

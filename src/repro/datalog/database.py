@@ -1,27 +1,30 @@
-"""EDB storage: two interchangeable backends behind one relation contract.
+"""EDB storage: two representations behind one relation contract.
 
 A :class:`Database` maps EDB predicate names to relation objects and
-owns the **storage backend** that decides how those relations hold
-their tuples (see ``docs/storage.md`` for the full contract):
+owns the **storage representation** that decides how those relations
+hold their tuples (see ``docs/storage.md`` for the full contract).  The
+representation follows the engine: the compiled engine runs on columnar
+storage and the interpreter on rows, and ``evaluate`` converts a
+database once, on entry, when it arrives in the other one.
 
+* ``storage="columnar"`` (the default) — :class:`ColumnarRelation`:
+  dictionary-encoded column arrays over a per-database
+  :class:`Interner` that maps every constant to a dense int code.  Hash
+  indexes are built over the int columns, and the compiled engine
+  executes **batched block kernels** over them
+  (:meth:`repro.datalog.plan.RulePlan.run_blocks`) — one kernel
+  invocation per join step per delta block.
 * ``storage="rows"`` — :class:`Relation`: per-row tuple sets of plain
   Python values (the ``value`` payloads of
   :class:`~repro.datalog.terms.Constant`) with lazily built hash
   indexes keyed by the bound argument positions a join probe uses.
-  This is the seed backend the tuple-at-a-time engines run on.
-* ``storage="columnar"`` — :class:`ColumnarRelation`: dictionary-encoded
-  column arrays over a per-database :class:`Interner` that maps every
-  constant to a dense int code.  Hash indexes are built over the int
-  columns, and the compiled slot engine executes **batched block
-  kernels** over them (:meth:`repro.datalog.plan.RulePlan.run_blocks`)
-  — one kernel invocation per join step per delta block instead of one
-  slot environment per row.
+  This is the reference representation the interpreter runs on.
 
-Both backends expose the same value-level API (``add`` / ``probe`` /
+Both expose the same value-level API (``add`` / ``probe`` /
 ``index_for`` / ``all_rows`` / ``rows`` / ``to_rows`` / containment),
-so every consumer — the interpreted engine, reports, digests,
-checkpoints — works unchanged on either; fixpoint digests are computed
-over decoded rows and are byte-identical across backends.
+so every consumer — reports, digests, checkpoints — works unchanged on
+either; fixpoint digests are computed over decoded rows and are
+byte-identical across representations.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ __all__ = ["STORAGES", "Interner", "Relation", "ColumnarRelation", "Database"]
 Value = object
 Row = tuple
 
-#: Valid ``storage`` arguments of :class:`Database` (and ``evaluate``).
+#: Valid ``storage`` arguments of :class:`Database`.
 STORAGES = ("rows", "columnar")
 
 #: Probe-side sentinel for constants that were never interned: it hashes
@@ -214,6 +217,11 @@ class Relation:
         """
         return sorted(self._rows, key=repr)
 
+    def update(self, other: "Relation") -> None:
+        """Insert every row of ``other`` (same representation)."""
+        for row in other._rows:
+            self.add(row)
+
     def copy(self) -> "Relation":
         return Relation(self.arity, self._rows)
 
@@ -234,8 +242,8 @@ class ColumnarRelation:
 
     The value-level :class:`Relation` API (``probe`` / ``index_for`` /
     ``all_rows`` / ``rows`` / iteration / containment) is provided by
-    decoding through the interner, so the tuple-at-a-time interpreter
-    and every serialization path run unchanged on this backend.  The
+    decoding through the interner, so reports, constraint checks and
+    every serialization path run unchanged on this backend.  The
     decoded row set and any value-level indexes are caches kept
     incrementally up to date by :meth:`add_codes`.
     """
@@ -404,8 +412,9 @@ class ColumnarRelation:
         """A value-level hash index (decoded view of :meth:`index_codes`).
 
         Kept incrementally up to date by :meth:`add_codes` once built,
-        exactly like :meth:`Relation.index_for`, so the tuple-at-a-time
-        engines can run unchanged on columnar storage.
+        exactly like :meth:`Relation.index_for`, so value-level probes
+        (constraint checks, for instance) run unchanged on columnar
+        storage.
         """
         if not positions:
             raise ValueError("index_for needs bound positions; use all_rows() for full scans")
@@ -430,16 +439,29 @@ class ColumnarRelation:
         """Decoded rows, deterministically ordered (sorted by repr)."""
         return sorted(self._decoded_rows(), key=repr)
 
+    def update(self, other: "ColumnarRelation") -> None:
+        """Insert every row of ``other`` (same interner), code level."""
+        self.extend_codes(other._row_set)
+
     def copy(self) -> "ColumnarRelation":
         """An independent relation **sharing** this one's interner.
 
         Codes are append-only, so sharing the dictionary keeps copies
-        cheap and code columns mutually valid; indexes and caches are
-        not copied (they rebuild lazily).
+        cheap and code columns mutually valid.  The copy is made at the
+        code level and carries the built code indexes and the decoded
+        row cache, so continuing from a copy (incremental ingest) never
+        re-interns a value or rebuilds an index; value-level indexes
+        rebuild lazily.
         """
         fresh = ColumnarRelation(self.arity, self.interner)
         fresh.columns = [list(column) for column in self.columns]
         fresh._row_set = set(self._row_set)
+        fresh._code_indexes = {
+            positions: {key: list(rowids) for key, rowids in index.items()}
+            for positions, index in self._code_indexes.items()
+        }
+        if self._decoded is not None:
+            fresh._decoded = set(self._decoded)
         return fresh
 
     def __repr__(self) -> str:
@@ -451,12 +473,13 @@ class Database:
 
     Construct from ground :class:`Atom` facts or ``(predicate, row)``
     pairs; query with :meth:`relation` / :meth:`contains`.  ``storage``
-    selects the backend every relation of this database uses:
-    ``"rows"`` (:class:`Relation`, the seed tuple-set backend) or
-    ``"columnar"`` (:class:`ColumnarRelation` over one shared
-    :class:`Interner` owned by the database).  The engines create their
-    IDB/delta relations through :meth:`new_relation`, so evaluation
-    runs entirely in the database's native backend.
+    is the representation every relation of this database uses:
+    ``"columnar"`` (the default: :class:`ColumnarRelation` over one
+    shared :class:`Interner` owned by the database, what the compiled
+    engine runs on) or ``"rows"`` (:class:`Relation`, the interpreter's
+    reference representation).  The engines create their IDB/delta
+    relations through :meth:`new_relation`, so evaluation runs entirely
+    in one representation.
     """
 
     __slots__ = ("_relations", "storage", "interner")
@@ -465,7 +488,7 @@ class Database:
         self,
         facts: Iterable[Atom] = (),
         *,
-        storage: str = "rows",
+        storage: str = "columnar",
         interner: "Interner | None" = None,
     ):
         if storage not in STORAGES:
@@ -487,7 +510,7 @@ class Database:
         cls,
         rows_by_predicate: Mapping[str, Iterable[Sequence[Value]]],
         *,
-        storage: str = "rows",
+        storage: str = "columnar",
     ) -> "Database":
         """Build a database directly from raw value tuples."""
         db = cls(storage=storage)

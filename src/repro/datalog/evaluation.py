@@ -5,31 +5,32 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
 
 * IDB predicates are computed SCC by SCC in topological order of the
   dependency graph; within a recursive SCC, semi-naive (delta) iteration
-  is used.
+  is used.  One driver (:func:`_fixpoint`) runs every strategy —
+  semi-naive, naive, and the incremental ingest of
+  :mod:`repro.persist.session` — over one run state (:class:`_Run`).
 * Each rule's join runs on one of two engines.  The default
-  ``engine="slots"`` is the **compiled slot-based engine** of
+  ``engine="slots"`` is the **compiled engine** of
   :mod:`repro.datalog.plan`: each rule is compiled once per (rule,
-  delta-position) into a plan over integer variable slots — the
-  environment is a fixed-size list overwritten in place (no per-row
-  ``dict`` copies), probe keys and head/filter projections are
-  precomputed position tuples, fully bound subgoals become zero-scan
-  existence checks, and hash indexes are fetched once per rule
-  execution.  ``plan_order`` selects **cost-based body reordering**
-  (``"cost"``, the default: literals ordered by estimated selectivity,
-  relation size × bound-position count) or the seed interpreter's
-  greedy bound-count order (``"greedy"``).  ``engine="interpreted"``
-  keeps the original tuple-at-a-time interpreter as a measurable
-  baseline (see ``repro bench``).
+  delta-position) into a cost-ordered plan over integer variable slots
+  and executed as batched block kernels over columnar relations.
+  ``engine="interpreted"`` is the tuple-at-a-time interpreter — the
+  reference the compiled engine is tested against (naive interpreted
+  evaluation of the original program is the repo's oracle).
+* **Representation follows the engine.**  The compiled engine runs on
+  columnar storage, the interpreter on row storage; ``evaluate``
+  converts its database once, on entry, when it arrives in the other
+  representation.  The oracle therefore shares no storage or join code
+  with the fast path.
 * :class:`EvaluationStats` counts rule firings, index probes, rows
   scanned, facts derived, index builds and environment allocations —
   plus per-rule ``rows_scanned`` — the "join work" measures the
   benchmarks report when comparing engines and transformed programs.
 * The engine is instrumented with the tracer of
   :mod:`repro.observability.trace`: an ``evaluate`` span wraps the run,
-  each SCC gets an ``scc`` span, each semi-naive round an ``iteration``
-  event, every compiled plan a ``plan`` event (with the chosen join
-  order), every lazily built hash index an ``index_build`` event, and
-  every rule execution a ``rule`` span carrying its wall time plus the
+  each SCC gets an ``scc`` span, each round an ``iteration`` event,
+  every compiled plan a ``plan`` event (with the chosen join order),
+  every lazily built hash index an ``index_build`` event, and every
+  rule execution a ``rule`` span carrying its wall time plus the
   per-rule deltas of the work counters.  With the default disabled
   tracer none of this fires — the hot path pays one boolean check.
 * With ``provenance=True`` the engine records, for each derived fact,
@@ -41,29 +42,25 @@ The engine evaluates a :class:`~repro.datalog.program.Program` over a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..observability.trace import Tracer, get_tracer
 from ..robustness.budget import Budget, CancellationToken, FallbackStep, Governor
 from ..robustness.errors import EvaluationAborted
 from .atoms import Atom, Literal, OrderAtom, evaluate_comparison
-from .database import STORAGES, Database, Relation, Row
-from .plan import (
-    DEFAULT_IDB_ESTIMATE,
-    RulePlan,
-    _GovernedList,
-    compile_rule,
-    order_body_greedy,
-)
+from .database import Database, Relation, Row
+from .plan import DEFAULT_IDB_ESTIMATE, RulePlan, compile_rule, order_body_greedy
 from .program import Program
 from .rules import Rule
 from .terms import Constant, Variable
 
 __all__ = [
     "ENGINES",
-    "PLAN_ORDERS",
-    "STORAGES",
+    "ENGINE_STORAGE",
+    "REMOVED_OPTIONS",
+    "STRATEGIES",
     "EvaluationStats",
     "EvaluationResult",
     "EvaluationSnapshot",
@@ -76,11 +73,18 @@ __all__ = [
 #: Valid ``engine`` arguments of :func:`evaluate`.
 ENGINES = ("slots", "interpreted")
 
-#: Valid ``plan_order`` arguments of :func:`evaluate`.
-PLAN_ORDERS = ("cost", "greedy")
+#: Valid ``strategy`` arguments of :func:`evaluate`.
+STRATEGIES = ("seminaive", "naive")
 
-# STORAGES (valid ``storage`` arguments) is defined next to the storage
-# backends in :mod:`repro.datalog.database` and re-exported here.
+#: The storage representation each engine runs on.
+ENGINE_STORAGE = {"slots": "columnar", "interpreted": "rows"}
+
+#: Options that were removed, with the reason the CLI (exit 2) and the
+#: daemon (HTTP 400) give when a caller still names one.
+REMOVED_OPTIONS = {
+    "storage": "storage follows the engine",
+    "plan_order": "cost order is the only compiled order",
+}
 
 
 @dataclass
@@ -113,19 +117,8 @@ class EvaluationStats:
         # getattr with a default, not attribute access: ``other`` may be
         # a stats object deserialized from an older checkpoint that
         # predates newer counters (see :meth:`from_dict`).
-        self.rule_firings += getattr(other, "rule_firings", 0)
-        self.probes += getattr(other, "probes", 0)
-        self.rows_scanned += getattr(other, "rows_scanned", 0)
-        self.facts_derived += getattr(other, "facts_derived", 0)
-        self.iterations += getattr(other, "iterations", 0)
-        self.index_builds += getattr(other, "index_builds", 0)
-        self.env_allocations += getattr(other, "env_allocations", 0)
-        self.intern_hits += getattr(other, "intern_hits", 0)
-        self.block_probes += getattr(other, "block_probes", 0)
-        self.budget_trips += getattr(other, "budget_trips", 0)
-        self.worker_restarts += getattr(other, "worker_restarts", 0)
-        self.shards_redispatched += getattr(other, "shards_redispatched", 0)
-        self.degradations += getattr(other, "degradations", 0)
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name, 0))
         # Wall-clock merges in integer nanoseconds: float ``+=`` is
         # commutative but not associative, so shard stats merged in
         # different orders could disagree in the last bits.  Integer
@@ -144,51 +137,26 @@ class EvaluationStats:
 
     def as_dict(self) -> dict[str, object]:
         """The counters as a plain dict (benchmark ``extra_info`` payloads)."""
-        return {
-            "rule_firings": self.rule_firings,
-            "probes": self.probes,
-            "rows_scanned": self.rows_scanned,
-            "facts_derived": self.facts_derived,
-            "iterations": self.iterations,
-            "index_builds": self.index_builds,
-            "env_allocations": self.env_allocations,
-            "intern_hits": self.intern_hits,
-            "block_probes": self.block_probes,
-            "budget_trips": self.budget_trips,
-            "worker_restarts": self.worker_restarts,
-            "shards_redispatched": self.shards_redispatched,
-            "degradations": self.degradations,
-            "wall_time_seconds": self.wall_time_seconds,
-            "rows_scanned_by_rule": dict(sorted(self.rows_scanned_by_rule.items())),
+        payload: dict[str, object] = {
+            spec.name: getattr(self, spec.name) for spec in fields(self)
         }
+        payload["rows_scanned_by_rule"] = dict(sorted(self.rows_scanned_by_rule.items()))
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "EvaluationStats":
         """Rebuild stats from an :meth:`as_dict` payload, tolerantly.
 
         Checkpoints written by older versions predate newer counters
-        (``budget_trips`` and ``wall_time_seconds`` arrived in PR 4, for
-        instance): missing fields default to zero instead of raising
-        ``KeyError``, and unknown fields written by *newer* versions are
-        ignored, so stats survive both directions of a version skew.
+        (``budget_trips`` and ``wall_time_seconds`` arrived later than
+        the join counters, for instance): missing fields default to
+        zero instead of raising ``KeyError``, and unknown fields written
+        by *newer* versions are ignored, so stats survive both
+        directions of a version skew.
         """
         stats = cls()
-        for key in (
-            "rule_firings",
-            "probes",
-            "rows_scanned",
-            "facts_derived",
-            "iterations",
-            "index_builds",
-            "env_allocations",
-            "intern_hits",
-            "block_probes",
-            "budget_trips",
-            "worker_restarts",
-            "shards_redispatched",
-            "degradations",
-        ):
-            setattr(stats, key, int(payload.get(key, 0)))  # type: ignore[call-overload]
+        for name in _COUNTERS:
+            setattr(stats, name, int(payload.get(name, 0)))  # type: ignore[call-overload]
         stats.wall_time_seconds = float(payload.get("wall_time_seconds", 0.0))  # type: ignore[arg-type]
         by_rule = payload.get("rows_scanned_by_rule", {})
         stats.rows_scanned_by_rule = {
@@ -227,6 +195,13 @@ class EvaluationStats:
                 ratios[key] = other_value / value
         return ratios
 
+
+#: The integer work counters of :class:`EvaluationStats`, in field order:
+#: what :meth:`~EvaluationStats.merge` sums and
+#: :meth:`~EvaluationStats.from_dict` restores as ints.
+_COUNTERS = tuple(
+    spec.name for spec in fields(EvaluationStats) if type(spec.default) is int
+)
 
 #: A ground fact key: (predicate, row of values).
 Fact = tuple[str, Row]
@@ -281,8 +256,8 @@ class EvaluationSnapshot:
     scratch.  The snapshot is deliberately **engine-agnostic** — it
     captures only rows, the SCC/iteration cursor and cumulative stats,
     never compiled plans or indexes — so a snapshot taken under the
-    compiled slot engine resumes correctly under the interpreter (and
-    vice versa).  It is also plain data: the persistence layer
+    compiled engine resumes correctly under the interpreter (and vice
+    versa).  It is also plain data: the persistence layer
     (:mod:`repro.persist`) serializes it to the on-disk checkpoint
     format without reaching into engine internals.
 
@@ -342,7 +317,7 @@ def _check_resume(
 
 
 # ----------------------------------------------------------------------
-# The interpreted engine (the seed's tuple-at-a-time baseline)
+# The interpreted engine (the tuple-at-a-time reference)
 # ----------------------------------------------------------------------
 #: Sentinel distinguishing "variable unbound" from a legitimate ``None``
 #: value stored in a database row.
@@ -462,55 +437,52 @@ def _run_join(
             _run_join(join, env, step + 1, relation_of, delta_relation, edb_lookup, stats, out)
 
 
-# ----------------------------------------------------------------------
-# Engine adapters: one driver, two join engines (x two storage backends)
-# ----------------------------------------------------------------------
-class _EngineBase:
-    """Driver-facing helpers shared by every engine adapter.
+class _GovernedList(list):
+    """The result buffer of a governed interpreted rule execution.
 
-    ``run`` returns an engine-specific result batch; :meth:`result_count`
-    sizes it (for ``rule_firings``) and :meth:`derive` inserts the head
-    rows — plus provenance and the semi-naive sink delta — returning the
-    number of *new* facts.  The drivers never reach into batch internals,
-    so a batch can be a list of environments (per-row engines) or a
-    column block (the columnar engine) without driver changes.
+    Every emitted environment ticks the governor (strided
+    deadline/cancellation check), so even a single explosive join stays
+    cancellable without touching the ungoverned hot path.
     """
 
-    def result_count(self, results) -> int:
-        return len(results)
+    __slots__ = ("_governor",)
 
-    def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
-        rule = plan.rule
-        head_pred = rule.head.predicate
-        new = 0
-        for env in results:
-            head_row = self.head_row(plan, env)
-            if head_row in head_relation:
-                continue
-            head_relation.add(head_row)
-            new += 1
-            if prov is not None:
-                prov[(head_pred, head_row)] = (
-                    rule,
-                    tuple(self.support_rows(plan, env)),
-                )
-            if sink_delta is not None:
-                sink_delta[head_pred].add(head_row)
-        stats.facts_derived += new
-        return new
+    def __init__(self, governor):
+        super().__init__()
+        self._governor = governor
+
+    def append(self, item) -> None:
+        list.append(self, item)
+        self._governor.tick("rule")
 
 
-class _SlotEngine(_EngineBase):
-    """The compiled slot-based engine (:mod:`repro.datalog.plan`)."""
+# ----------------------------------------------------------------------
+# Engine adapters: one driver, two join engines
+# ----------------------------------------------------------------------
+# Each adapter compiles a rule (``make_plan``), runs it into an
+# engine-specific result batch (``run``), sizes the batch for
+# ``rule_firings`` (``result_count``) and inserts its head rows — plus
+# provenance and the semi-naive sink delta — returning the number of
+# *new* facts (``derive``).  The driver never reaches into a batch.
+class _CompiledEngine:
+    """Cost-ordered plans (:mod:`repro.datalog.plan`) run as block kernels.
+
+    The result batch is ``(n, code columns)``; head insertion happens at
+    the code level (one dedup set lookup plus one ``add_codes`` per new
+    fact) and decodes only for provenance.  ``accept_log``, when set,
+    maps each head predicate to a list that receives every accepted code
+    row — the sharded master's replication log.
+    """
 
     name = "slots"
 
-    def __init__(self, program: Program, database: Database, idb, plan_order: str, tracer: Tracer):
+    def __init__(self, database: Database, idb, tracer: Tracer):
         self.database = database
         self.idb = idb
-        self.plan_order = plan_order
+        self.interner = database.interner
         self.tracer = tracer
         self.trace_on = tracer.enabled
+        self.accept_log: "dict[str, list] | None" = None
 
     def _size_of(self, literal: Literal) -> float:
         """Estimated relation size at plan-compile time.
@@ -523,54 +495,17 @@ class _SlotEngine(_EngineBase):
         return float(len(self.database.relation(literal.predicate, literal.atom.arity)))
 
     def make_plan(self, rule: Rule, delta_index: int | None) -> RulePlan:
-        plan = compile_rule(
-            rule, delta_index, order=self.plan_order, size_of=self._size_of
-        )
+        plan = compile_rule(rule, delta_index, size_of=self._size_of)
         if self.trace_on:
             self.tracer.event(
                 "plan",
                 predicate=rule.head.predicate,
                 rule=plan.rule_key,
-                order=plan.order,
+                order="cost",
                 delta=plan.delta_predicate or "",
                 steps=plan.describe(),
             )
         return plan
-
-    def run(self, plan: RulePlan, relation_of, delta_relation, stats, governor=None):
-        return plan.run(
-            relation_of,
-            delta_relation,
-            stats,
-            tracer=self.tracer if self.trace_on else None,
-            governor=governor,
-        )
-
-    @staticmethod
-    def head_row(plan: RulePlan, env) -> Row:
-        return plan.head_row(env)
-
-    @staticmethod
-    def support_rows(plan: RulePlan, env) -> list[Fact]:
-        return plan.support_rows(env)
-
-
-class _ColumnarSlotEngine(_SlotEngine):
-    """The slot engine over columnar storage: batched block kernels.
-
-    Reuses the slot engine's plan compilation unchanged (the step
-    layouts are storage-agnostic) but executes through
-    :meth:`~repro.datalog.plan.RulePlan.run_blocks`, whose result batch
-    is ``(n, code columns)`` rather than per-row environments; head
-    insertion happens at the code level (one dedup set lookup plus one
-    ``add_codes`` per new fact) and decodes only for provenance.
-    """
-
-    name = "slots"
-
-    def __init__(self, program: Program, database: Database, idb, plan_order: str, tracer: Tracer):
-        super().__init__(program, database, idb, plan_order, tracer)
-        self.interner = database.interner
 
     def run(self, plan: RulePlan, relation_of, delta_relation, stats, governor=None):
         return plan.run_blocks(
@@ -582,7 +517,8 @@ class _ColumnarSlotEngine(_SlotEngine):
             governor=governor,
         )
 
-    def result_count(self, results) -> int:
+    @staticmethod
+    def result_count(results) -> int:
         return results[0]
 
     def derive(self, plan, results, head_relation, sink_delta, prov, stats) -> int:
@@ -599,6 +535,7 @@ class _ColumnarSlotEngine(_SlotEngine):
         live = head_relation.code_rows()
         add_codes = head_relation.add_codes
         sink = None if sink_delta is None else sink_delta[head_pred].add_codes
+        accepted = None if self.accept_log is None else self.accept_log[head_pred].append
         values = self.interner.values
         new = 0
         for i, codes in enumerate(keys):
@@ -608,6 +545,8 @@ class _ColumnarSlotEngine(_SlotEngine):
             new += 1
             if sink is not None:
                 sink(codes)
+            if accepted is not None:
+                accepted(codes)
             if prov is not None:
                 env = [
                     None if col is None else values[col[i]] for col in cols
@@ -621,12 +560,12 @@ class _ColumnarSlotEngine(_SlotEngine):
         return new
 
 
-class _InterpEngine(_EngineBase):
-    """The seed tuple-at-a-time interpreter, kept as the perf baseline."""
+class _InterpEngine:
+    """The tuple-at-a-time interpreter over row storage: the reference."""
 
     name = "interpreted"
 
-    def __init__(self, program: Program, database: Database, idb, plan_order: str, tracer: Tracer):
+    def __init__(self, database: Database, idb, tracer: Tracer):
         self.database = database
         self.tracer = tracer
         self.trace_on = tracer.enabled
@@ -649,8 +588,7 @@ class _InterpEngine(_EngineBase):
 
     def run(self, join: _RuleJoin, relation_of, delta_relation, stats, governor=None):
         # The governed buffer makes the recursive interpreter cancellable
-        # mid-rule at each emitted environment, mirroring the compiled
-        # engine's per-row ticks.
+        # mid-rule at each emitted environment.
         results: list[dict[Variable, object]] = (
             [] if governor is None else _GovernedList(governor)
         )
@@ -660,44 +598,28 @@ class _InterpEngine(_EngineBase):
         return results
 
     @staticmethod
-    def head_row(join: _RuleJoin, env) -> Row:
-        return join.head_row(env)
+    def result_count(results) -> int:
+        return len(results)
 
-    @staticmethod
-    def support_rows(join: _RuleJoin, env) -> list[Fact]:
-        return join.support_rows(env)
-
-
-def _make_engine(engine: str, program, database, idb, plan_order: str, tracer: Tracer):
-    if engine == "slots":
-        # The storage backend picks the executor: same compiled plans,
-        # block kernels on columnar databases, closure chains on rows.
-        if database.storage == "columnar":
-            return _ColumnarSlotEngine(program, database, idb, plan_order, tracer)
-        return _SlotEngine(program, database, idb, plan_order, tracer)
-    if engine == "interpreted":
-        # The interpreter runs unchanged on either backend through the
-        # value-level Relation API (columnar relations decode lazily).
-        return _InterpEngine(program, database, idb, plan_order, tracer)
-    raise ValueError(f"unknown engine {engine!r} (valid: {', '.join(ENGINES)})")
-
-
-def _check_plan_order(plan_order: str) -> None:
-    if plan_order not in PLAN_ORDERS:
-        raise ValueError(
-            f"unknown plan order {plan_order!r} (valid: {', '.join(PLAN_ORDERS)})"
-        )
+    def derive(self, join, results, head_relation, sink_delta, prov, stats) -> int:
+        rule = join.rule
+        head_pred = rule.head.predicate
+        new = 0
+        for env in results:
+            head_row = join.head_row(env)
+            if head_row in head_relation:
+                continue
+            head_relation.add(head_row)
+            new += 1
+            if prov is not None:
+                prov[(head_pred, head_row)] = (rule, tuple(join.support_rows(env)))
+            if sink_delta is not None:
+                sink_delta[head_pred].add(head_row)
+        stats.facts_derived += new
+        return new
 
 
-def _resolve_storage(database: Database, storage: str | None) -> Database:
-    """Validate ``storage`` and convert ``database`` to it when asked."""
-    if storage is None:
-        return database
-    if storage not in STORAGES:
-        raise ValueError(
-            f"unknown storage {storage!r} (valid: {', '.join(STORAGES)})"
-        )
-    return database.to_storage(storage)
+_ENGINE_CLASSES = {"slots": _CompiledEngine, "interpreted": _InterpEngine}
 
 
 def _sccs(graph: Mapping[str, set[str]]) -> list[list[str]]:
@@ -751,6 +673,380 @@ def _sccs(graph: Mapping[str, set[str]]) -> list[list[str]]:
     return components
 
 
+# ----------------------------------------------------------------------
+# The run state and the one fixpoint driver
+# ----------------------------------------------------------------------
+class _Run:
+    """The live state of one evaluation run.
+
+    Owns the IDB relations, the cumulative counters, the join engine
+    and the governor.  It is the only place rules fire (:meth:`fire`),
+    snapshots are built (:meth:`snapshot`) and budget trips are wrapped
+    (:meth:`governed`) — for :func:`evaluate`, the incremental ingest of
+    :class:`~repro.persist.session.Session` and the sharded master of
+    :mod:`repro.parallel` alike.
+
+    ``database`` is converted to the engine's representation once, here.
+    The IDB starts empty, is seeded from ``resume_from`` (rows, the
+    cumulative stats, and the interner table replayed first so codes
+    match the checkpointed run), or adopts ready-made relations
+    (``idb``, with ``stats`` as the counters to continue from).
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        database: Database,
+        *,
+        engine: str = "slots",
+        strategy: str = "seminaive",
+        tracer: Tracer,
+        governor: Governor | None = None,
+        provenance: bool = False,
+        resume_from: EvaluationSnapshot | None = None,
+        idb: "Mapping[str, Relation] | None" = None,
+        stats: EvaluationStats | None = None,
+        phase: str = "evaluate",
+    ):
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r} (valid: {', '.join(ENGINES)})")
+        database = database.to_storage(ENGINE_STORAGE[engine])
+        self.program = program
+        self.database = database
+        self.strategy = strategy
+        self.tracer = tracer
+        self.trace_on = tracer.enabled
+        self.governor = governor
+        self.phase = phase
+        self.started = time.perf_counter()
+        self.stats = stats if stats is not None else EvaluationStats()
+        self.interner = interner = database.interner
+        self.idb: dict[str, Relation] = {
+            pred: database.new_relation(program.arity_of(pred))
+            for pred in program.idb_predicates
+        }
+        if idb is not None:
+            self.idb.update(idb)
+        if resume_from is not None:
+            self.stats.merge(resume_from.stats)
+            if interner is not None and resume_from.interner is not None:
+                for value in resume_from.interner:
+                    interner.intern(value)
+            for pred, rows in resume_from.idb.items():
+                if pred in self.idb:
+                    for row in rows:
+                        self.idb[pred].add(row)
+        self.base_wall = self.stats.wall_time_seconds
+        # intern_hits reports this run's dictionary re-use: the delta of
+        # the interner's hit counter on top of the continued base (hits
+        # spent re-seeding snapshot rows above are checkpointed work).
+        self.base_intern = self.stats.intern_hits
+        self.hits0 = 0 if interner is None else interner.hits
+        self.prov: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = (
+            {} if provenance else None
+        )
+        self.eng = _ENGINE_CLASSES[engine](database, self.idb, tracer)
+        #: Extra ``EvaluationResult.shards`` report (the sharded master).
+        self.shard_report: "Callable[[], dict] | None" = None
+
+    def relation_of(self, predicate: str, arity: int) -> Relation:
+        if predicate in self.idb:
+            return self.idb[predicate]
+        return self.database.relation(predicate, arity)
+
+    def new_relations(self, predicates) -> dict[str, Relation]:
+        """Fresh, empty relations (delta frontiers) for ``predicates``."""
+        return {
+            pred: self.database.new_relation(self.program.arity_of(pred))
+            for pred in predicates
+        }
+
+    def plan(self, rule: Rule, delta_index: int | None):
+        return self.eng.make_plan(rule, delta_index)
+
+    def check(self) -> None:
+        if self.governor is not None:
+            self.governor.check(self.phase, self.stats)
+
+    def fire(
+        self,
+        plan,
+        delta_relation: "Relation | None",
+        sink_delta: "Mapping[str, Relation] | None",
+        scc_index: int,
+        iteration: int | None,
+    ) -> int:
+        """Run one rule's join, record the results (into ``sink_delta``
+        too, when given) and return the number of new facts.  When
+        tracing, a ``rule`` span carries the per-rule work deltas."""
+        stats = self.stats
+        if not self.trace_on:
+            return self._fire(plan, delta_relation, sink_delta)
+        before = (
+            stats.probes,
+            stats.rows_scanned,
+            stats.facts_derived,
+            stats.rule_firings,
+            stats.index_builds,
+        )
+        with self.tracer.span(
+            "rule",
+            predicate=plan.rule.head.predicate,
+            rule=plan.rule_key,
+            scc=scc_index,
+            iteration=iteration,
+            delta=delta_relation is not None,
+        ) as span:
+            new = self._fire(plan, delta_relation, sink_delta)
+            span.set(
+                firings=stats.rule_firings - before[3],
+                probes=stats.probes - before[0],
+                rows_scanned=stats.rows_scanned - before[1],
+                facts_derived=stats.facts_derived - before[2],
+                index_builds=stats.index_builds - before[4],
+            )
+        return new
+
+    def _fire(self, plan, delta_relation, sink_delta) -> int:
+        stats, eng = self.stats, self.eng
+        rows_before = stats.rows_scanned
+        results = eng.run(plan, self.relation_of, delta_relation, stats, self.governor)
+        stats.rule_firings += eng.result_count(results)
+        key = plan.rule_key
+        stats.rows_scanned_by_rule[key] = (
+            stats.rows_scanned_by_rule.get(key, 0) + stats.rows_scanned - rows_before
+        )
+        new = eng.derive(
+            plan,
+            results,
+            self.idb[plan.rule.head.predicate],
+            sink_delta,
+            self.prov,
+            stats,
+        )
+        self.check()
+        return new
+
+    def finish(self) -> None:
+        """Bring ``intern_hits`` and the cumulative wall time up to date."""
+        if self.interner is not None:
+            self.stats.intern_hits = self.base_intern + self.interner.hits - self.hits0
+        self.stats.wall_time_seconds = self.base_wall + (time.perf_counter() - self.started)
+
+    def snapshot(
+        self,
+        completed: int,
+        scc_index: int | None,
+        iteration: int,
+        delta: "Mapping[str, object] | None",
+        complete: bool = False,
+    ) -> EvaluationSnapshot:
+        self.finish()
+        return EvaluationSnapshot(
+            strategy=self.strategy,
+            completed_sccs=completed,
+            scc_index=scc_index,
+            iteration=iteration,
+            idb={pred: rel.rows() for pred, rel in self.idb.items()},
+            delta=None
+            if delta is None
+            else {pred: rel.rows() for pred, rel in delta.items()},  # type: ignore[attr-defined]
+            stats=self.stats.copy(),
+            complete=complete,
+            interner=None if self.interner is None else tuple(self.interner.values),
+        )
+
+    def result(self) -> EvaluationResult:
+        return EvaluationResult(
+            idb=self.idb,
+            stats=self.stats,
+            program=self.program,
+            database=self.database,
+            provenance=self.prov,
+            shards=None if self.shard_report is None else self.shard_report(),
+        )
+
+    @contextmanager
+    def governed(self):
+        """Turn a budget trip into an abort carrying the partial result."""
+        try:
+            yield
+        except EvaluationAborted as exc:
+            self.stats.budget_trips += 1
+            self.finish()
+            if self.trace_on:
+                self.tracer.event(
+                    "budget.trip",
+                    phase=exc.phase or self.phase,
+                    limit=exc.limit or "",
+                    facts_derived=self.stats.facts_derived,
+                    iterations=self.stats.iterations,
+                )
+            raise exc.with_context(
+                phase=self.phase, partial=self.result(), stats=self.stats
+            ) from None
+
+
+def _fixpoint(
+    run: _Run,
+    *,
+    changed: "dict[str, Relation] | None" = None,
+    max_iterations: int | None = None,
+    checkpoint_every: int = 0,
+    checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
+    resume_from: EvaluationSnapshot | None = None,
+) -> None:
+    """The one SCC driver behind every sequential strategy.
+
+    Components run in topological order.  Each runs a *seed phase* and
+    then rounds until a round derives nothing:
+
+    * **semi-naive** — a non-recursive SCC fires each rule once; a
+      recursive one seeds its delta with the exit rules (no same-SCC
+      body literal), and every round fires each (rule, same-SCC
+      position) plan on the previous round's delta;
+    * **incremental ingest** (``changed`` maps predicates to their new
+      rows) — the seed fires each rule once per positive body position
+      whose predicate changed outside the SCC, with the changed rows as
+      the delta there; rounds as above; the SCC's new rows then join
+      ``changed`` for the SCCs above it;
+    * **naive** (``run.strategy == "naive"``) — the whole program is one
+      group with no seed, and every round fires every rule on full
+      relations.  Rounds are numbered globally and snapshots carry no
+      frontier, so a naive resume simply keeps iterating.
+    """
+    program, stats, tracer = run.program, run.stats, run.tracer
+    naive = changed is None and run.strategy == "naive"
+    graph = program.dependency_graph()
+    components = _sccs(graph)
+    groups = [sorted(program.idb_predicates)] if naive else components
+    skip = 0 if naive or resume_from is None else resume_from.completed_sccs
+    checkpointing = checkpoint_sink is not None and checkpoint_every > 0
+    for scc_index, component in enumerate(groups):
+        if scc_index < skip:
+            continue  # fixpoint already contained in the seeded IDB
+        run.check()
+        members = set(component)
+        rules = [r for r in program.rules if r.head.predicate in members]
+        recursive = naive or len(component) > 1 or any(
+            head in graph.get(head, set()) for head in component
+        )
+        with tracer.span(
+            "scc",
+            index=scc_index,
+            members=",".join(sorted(members)),
+            recursive=recursive,
+        ):
+            if not recursive and changed is None:
+                for rule in rules:
+                    run.fire(run.plan(rule, None), None, None, scc_index, None)
+                continue
+            member_positions = [
+                (
+                    rule,
+                    [
+                        pos
+                        for pos, item in enumerate(rule.body)
+                        if isinstance(item, Literal)
+                        and item.positive
+                        and item.predicate in members
+                    ],
+                )
+                for rule in rules
+            ]
+            delta_positions = [
+                (rule, pos) for rule, positions in member_positions for pos in positions
+            ]
+            delta = run.new_relations(members)
+            if naive:
+                iterations = stats.iterations
+            elif (
+                resume_from is not None
+                and resume_from.scc_index == scc_index
+                and resume_from.delta is not None
+            ):
+                # The snapshot was taken at a round boundary of this
+                # SCC: its seed already fired (its facts are in the
+                # seeded IDB), so restore the frontier and the cursor.
+                for pred in members:
+                    for row in resume_from.delta.get(pred, ()):
+                        delta[pred].add(row)
+                iterations = resume_from.iteration
+            else:
+                if changed is None:
+                    for rule, positions in member_positions:
+                        if not positions:  # an exit rule
+                            run.fire(run.plan(rule, None), None, delta, scc_index, None)
+                else:
+                    for rule in rules:
+                        for pos, item in enumerate(rule.body):
+                            if not (isinstance(item, Literal) and item.positive):
+                                continue
+                            source = changed.get(item.predicate)
+                            if item.predicate in members or source is None or not len(source):
+                                continue
+                            run.fire(run.plan(rule, pos), source, delta, scc_index, None)
+                iterations = 0
+            if changed is not None:
+                fresh = run.new_relations(members)
+                for pred in members:
+                    fresh[pred].update(delta[pred])
+            # Round plans are compiled after the seed fired, so cost
+            # estimates see the seeded IDB sizes; each (rule,
+            # delta-position) is compiled exactly once per SCC.
+            if naive:
+                plans = [run.plan(rule, None) for rule in rules]
+            else:
+                plans = [run.plan(rule, pos) for rule, pos in delta_positions]
+            pending = naive or any(len(d) for d in delta.values())
+            while pending:
+                iterations += 1
+                if max_iterations is not None and iterations > max_iterations:
+                    break
+                stats.iterations += 1
+                run.check()
+                if run.trace_on:
+                    tracer.event(
+                        "iteration",
+                        scc=scc_index,
+                        index=iterations,
+                        delta_in=None if naive else sum(len(d) for d in delta.values()),
+                    )
+                new_delta = None if naive else run.new_relations(members)
+                derived = 0
+                for plan in plans:
+                    source = None if naive else delta[plan.delta_predicate]
+                    if source is not None and not len(source):
+                        continue
+                    derived += run.fire(plan, source, new_delta, scc_index, iterations)
+                pending = derived > 0
+                if new_delta is not None:
+                    delta = new_delta
+                    if changed is not None:
+                        for pred in members:
+                            fresh[pred].update(delta[pred])
+                if checkpointing and stats.iterations % checkpoint_every == 0:
+                    checkpoint_sink(
+                        run.snapshot(0, None, iterations, None)
+                        if naive
+                        else run.snapshot(scc_index, scc_index, iterations, delta)
+                    )
+            if changed is not None:
+                for pred in members:
+                    if len(fresh[pred]):
+                        changed[pred] = fresh[pred]
+    if checkpoint_sink is not None:
+        checkpoint_sink(
+            run.snapshot(
+                0 if naive else len(components),
+                None,
+                stats.iterations,
+                None,
+                complete=True,
+            )
+        )
+
+
 def evaluate(
     program: Program,
     database: Database,
@@ -760,8 +1056,6 @@ def evaluate(
     strategy: str = "seminaive",
     tracer: Tracer | None = None,
     engine: str = "slots",
-    plan_order: str = "cost",
-    storage: str | None = None,
     workers: int | None = None,
     supervision: "object | None" = None,
     budget: "Budget | Governor | None" = None,
@@ -786,34 +1080,26 @@ def evaluate(
     baseline in the engine benchmarks.
 
     ``engine`` selects the join engine: ``"slots"`` (default, the
-    compiled slot-based engine) or ``"interpreted"`` (the seed
-    tuple-at-a-time interpreter).  ``plan_order`` selects the compiled
-    engine's static body ordering: ``"cost"`` (default, cost-based
-    reordering by estimated selectivity) or ``"greedy"`` (the seed
-    interpreter's bound-count order); the interpreted engine always
-    uses the greedy order.
-
-    ``storage`` selects the storage backend: ``None`` (default)
-    evaluates in the database's own backend, ``"rows"`` / ``"columnar"``
-    convert first (see :meth:`~repro.datalog.database.Database.to_storage`).
-    On columnar storage the slot engine runs the batched block kernels
-    of :meth:`~repro.datalog.plan.RulePlan.run_blocks`; results and
-    fixpoint digests are byte-identical across backends.
+    compiled engine: cost-ordered plans run as block kernels over
+    columnar storage) or ``"interpreted"`` (the tuple-at-a-time
+    interpreter over row storage, the reference).  The database is
+    converted to the engine's representation on entry when needed;
+    results and fixpoint digests are byte-identical across engines.
 
     ``workers=N`` shards the evaluation across ``N`` forked worker
     processes (:mod:`repro.parallel`): each semi-naive delta is
-    hash-partitioned by code row, workers run the columnar block
-    kernels over their shard, and frontiers merge at round boundaries.
-    Requires ``engine="slots"`` and ``strategy="seminaive"``;
-    ``provenance`` is unsupported.  Fixpoints, digests, iteration
-    counts and ``rows_scanned`` are byte-identical to the sequential
-    engines; see ``docs/parallel.md``.  Worker deaths are recovered by
-    the supervision layer (respawn + shard re-dispatch under a bounded
+    hash-partitioned by code row, workers run the block kernels over
+    their shard, and frontiers merge at round boundaries.  Requires
+    ``engine="slots"`` and ``strategy="seminaive"``; ``provenance`` is
+    unsupported.  Fixpoints, digests, iteration counts and
+    ``rows_scanned`` are byte-identical to the sequential engine; see
+    ``docs/parallel.md``.  Worker deaths are recovered by the
+    supervision layer (respawn + shard re-dispatch under a bounded
     retry budget); when recovery is exhausted the run *degrades* —
-    half the workers, then sequential columnar — recording each rung
-    as a :class:`~repro.robustness.budget.FallbackStep` in
-    ``result.fallbacks`` instead of raising.  ``supervision`` accepts
-    a :class:`~repro.parallel.supervisor.SupervisionPolicy` overriding
+    half the workers, then sequential — recording each rung as a
+    :class:`~repro.robustness.budget.FallbackStep` in
+    ``result.fallbacks`` instead of raising.  ``supervision`` accepts a
+    :class:`~repro.parallel.supervisor.SupervisionPolicy` overriding
     the default retry/straggler settings.
 
     ``tracer`` overrides the globally installed tracer (see
@@ -824,7 +1110,7 @@ def evaluate(
     already-running :class:`~repro.robustness.budget.Governor` shared
     with earlier phases) and ``cancellation`` make the run governed:
     limits are checked at SCC, round and rule boundaries (plus strided
-    per-row ticks inside the join engines), and a violated limit raises
+    ticks inside the join engines), and a violated limit raises
     :class:`~repro.robustness.errors.BudgetExceededError` (or
     :class:`~repro.robustness.errors.Cancelled`) carrying the partial
     fixpoint computed so far in ``exc.partial``.  Because negation is
@@ -832,8 +1118,8 @@ def evaluate(
     the partial fixpoint is always a subset of the full one.
 
     ``checkpoint_every`` + ``checkpoint_sink`` make the run durable:
-    after every ``checkpoint_every``-th semi-naive round (counted
-    cumulatively in ``stats.iterations``) the sink receives an
+    after every ``checkpoint_every``-th round (counted cumulatively in
+    ``stats.iterations``) the sink receives an
     :class:`EvaluationSnapshot` of the IDB, the delta frontier and the
     SCC/iteration cursor; a final ``complete=True`` snapshot is always
     emitted when a sink is given.  ``resume_from`` restarts evaluation
@@ -846,538 +1132,116 @@ def evaluate(
     if tracer is None:
         tracer = get_tracer()
     if workers is not None:
-        # The multiprocess sharded evaluator (docs/parallel.md): the
-        # compiled columnar engine, hash-partitioned across N forked
-        # workers.  Imported lazily — repro.parallel imports this
-        # module at its own top level.
         if engine != "slots":
             raise ValueError(
                 "workers=N requires the compiled slot engine "
                 f"(engine='slots'), got engine={engine!r}"
             )
-        from ..parallel.engine import WorkerFailure, evaluate_sharded
-
-        # The fleet degradation ladder: a sharded run whose supervisor
-        # exhausted its recovery budget (or whose pool could not warm
-        # up) is *retried* at half the worker count, down to one, then
-        # sequentially on the columnar engine — a recoverable fault
-        # costs rungs and time, never the answer and never exit 2.
-        # Budget trips and cancellation are not recoverable faults:
-        # they propagate as usual (exit 1).
-        rungs = []
-        count = workers
-        while count >= 1:
-            rungs.append(count)
-            count //= 2
-        steps: list[FallbackStep] = []
-        carried_restarts = 0
-        carried_redispatched = 0
-        result = None
-        for rung, count in enumerate(rungs):
-            try:
-                result = evaluate_sharded(
-                    program,
-                    database,
-                    workers=count,
-                    provenance=provenance,
-                    max_iterations=max_iterations,
-                    strategy=strategy,
-                    tracer=tracer,
-                    plan_order=plan_order,
-                    storage=storage,
-                    budget=budget,
-                    cancellation=cancellation,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_sink=checkpoint_sink,
-                    resume_from=resume_from,
-                    supervision=supervision,
-                )
-                break
-            except WorkerFailure as exc:
-                recovery = getattr(exc, "recovery", None) or {}
-                carried_restarts += recovery.get("worker_restarts", 0)
-                carried_redispatched += recovery.get("shards_redispatched", 0)
-                fell_back_to = (
-                    f"sharded-w{rungs[rung + 1]}"
-                    if rung + 1 < len(rungs)
-                    else "sequential-columnar"
-                )
-                step = FallbackStep(
-                    stage=f"sharded-w{count}",
-                    fell_back_to=fell_back_to,
-                    reason=str(exc),
-                )
-                steps.append(step)
-                if tracer.enabled:
-                    tracer.event(
-                        "shard.degrade",
-                        stage=step.stage,
-                        fell_back_to=step.fell_back_to,
-                        reason=step.reason,
-                    )
-        if result is None:
-            # Every sharded rung failed: the sequential columnar engine
-            # is the ladder's floor (no fleet, nothing left to crash).
-            result = evaluate(
-                program,
-                database,
-                provenance=provenance,
-                max_iterations=max_iterations,
-                strategy=strategy,
-                tracer=tracer,
-                engine="slots",
-                plan_order=plan_order,
-                storage="columnar",
-                budget=budget,
-                cancellation=cancellation,
-                checkpoint_every=checkpoint_every,
-                checkpoint_sink=checkpoint_sink,
-                resume_from=resume_from,
-            )
-        if steps:
-            result.stats.degradations += len(steps)
-            result.stats.worker_restarts += carried_restarts
-            result.stats.shards_redispatched += carried_redispatched
-            result.fallbacks = tuple(steps) + tuple(result.fallbacks)
-        return result
-    _check_plan_order(plan_order)
-    governor = Governor.of(budget, cancellation)
-    _check_resume(resume_from, strategy, provenance)
-    database = _resolve_storage(database, storage)
-    if strategy == "naive":
-        return _evaluate_naive(
+        return _evaluate_fleet(
             program,
             database,
+            workers=workers,
             provenance=provenance,
+            max_iterations=max_iterations,
+            strategy=strategy,
             tracer=tracer,
-            engine=engine,
-            plan_order=plan_order,
-            budget=governor,
+            budget=budget,
+            cancellation=cancellation,
+            checkpoint_every=checkpoint_every,
+            checkpoint_sink=checkpoint_sink,
+            resume_from=resume_from,
+            supervision=supervision,
+        )
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    _check_resume(resume_from, strategy, provenance)
+    run = _Run(
+        program,
+        database,
+        engine=engine,
+        strategy=strategy,
+        tracer=tracer,
+        governor=Governor.of(budget, cancellation),
+        provenance=provenance,
+        resume_from=resume_from,
+    )
+    with run.governed(), tracer.span(
+        "evaluate", strategy=strategy, engine=run.eng.name, rules=len(program.rules)
+    ) as root:
+        _fixpoint(
+            run,
+            # Naive rounds are global, not per SCC: the per-SCC
+            # round bound does not apply to them.
+            max_iterations=None if strategy == "naive" else max_iterations,
             checkpoint_every=checkpoint_every,
             checkpoint_sink=checkpoint_sink,
             resume_from=resume_from,
         )
-    if strategy != "seminaive":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    trace_on = tracer.enabled
-    started = time.perf_counter()
-    stats = EvaluationStats()
-    base_wall = 0.0
-    interner = database.interner
-    idb: dict[str, Relation] = {
-        pred: database.new_relation(program.arity_of(pred))
-        for pred in program.idb_predicates
-    }
-    if resume_from is not None:
-        stats.merge(resume_from.stats)
-        base_wall = stats.wall_time_seconds
-        if interner is not None and resume_from.interner is not None:
-            # Replay the checkpointed value table first so this run
-            # assigns the same codes the checkpointed run did.
-            for value in resume_from.interner:
-                interner.intern(value)
-        for pred, rows in resume_from.idb.items():
-            if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-    # intern_hits reports this run's dictionary re-use: the delta of the
-    # interner's hit counter, on top of any resumed base (the hits spent
-    # re-seeding the snapshot rows above are checkpointed work, already
-    # counted by the run that produced the snapshot).
-    base_intern = stats.intern_hits
-    hits0 = 0 if interner is None else interner.hits
-
-    def sync_intern_hits() -> None:
-        if interner is not None:
-            stats.intern_hits = base_intern + interner.hits - hits0
-
-    prov: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = {} if provenance else None
-    idb_preds = program.idb_predicates
-    eng = _make_engine(engine, program, database, idb, plan_order, tracer)
-    checkpointing = checkpoint_sink is not None and checkpoint_every > 0
-
-    def make_snapshot(
-        completed: int,
-        scc_index: int | None,
-        iteration: int,
-        delta: "dict[str, Relation] | None",
-        complete: bool = False,
-    ) -> EvaluationSnapshot:
-        sync_intern_hits()
-        snap_stats = stats.copy()
-        snap_stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        return EvaluationSnapshot(
-            strategy="seminaive",
-            completed_sccs=completed,
-            scc_index=scc_index,
-            iteration=iteration,
-            idb={pred: rel.rows() for pred, rel in idb.items()},
-            delta=None
-            if delta is None
-            else {pred: rel.rows() for pred, rel in delta.items()},
-            stats=snap_stats,
-            complete=complete,
-            interner=None if interner is None else tuple(interner.values),
-        )
-
-    def relation_of(predicate: str, arity: int) -> Relation:
-        if predicate in idb_preds:
-            return idb[predicate]
-        return database.relation(predicate, arity)
-
-    def fire_rule(
-        plan,
-        delta_relation: Relation | None,
-        sink_delta: dict[str, Relation] | None,
-        scc_index: int,
-        iteration: int | None,
-    ) -> None:
-        """Run one rule's join, record the results (into ``sink_delta``
-        too, when given) and — when tracing — emit a ``rule`` span with
-        the per-rule work deltas."""
-        rule = plan.rule
-        head_relation = idb[rule.head.predicate]
-
-        def run() -> None:
-            rows_before = stats.rows_scanned
-            results = eng.run(plan, relation_of, delta_relation, stats, governor)
-            stats.rule_firings += eng.result_count(results)
-            key = plan.rule_key
-            stats.rows_scanned_by_rule[key] = (
-                stats.rows_scanned_by_rule.get(key, 0)
-                + stats.rows_scanned
-                - rows_before
-            )
-            eng.derive(plan, results, head_relation, sink_delta, prov, stats)
-            if governor is not None:
-                governor.check("evaluate", stats)
-
-        if not trace_on:
-            run()
-            return
-        before = (
-            stats.probes,
-            stats.rows_scanned,
-            stats.facts_derived,
-            stats.rule_firings,
-            stats.index_builds,
-        )
-        with tracer.span(
-            "rule",
-            predicate=rule.head.predicate,
-            rule=plan.rule_key,
-            scc=scc_index,
-            iteration=iteration,
-            delta=delta_relation is not None,
-        ) as span:
-            run()
-            span.set(
-                firings=stats.rule_firings - before[3],
-                probes=stats.probes - before[0],
-                rows_scanned=stats.rows_scanned - before[1],
-                facts_derived=stats.facts_derived - before[2],
-                index_builds=stats.index_builds - before[4],
-            )
-
-    def partial_result() -> EvaluationResult:
-        return EvaluationResult(
-            idb=idb, stats=stats, program=program, database=database, provenance=prov
-        )
-
-    try:
-        with tracer.span(
-            "evaluate", strategy="seminaive", engine=eng.name, rules=len(program.rules)
-        ) as root:
-            graph = program.dependency_graph()
-            components = _sccs(graph)
-            for scc_index, component in enumerate(components):
-                if resume_from is not None and scc_index < resume_from.completed_sccs:
-                    continue  # fixpoint already contained in the seeded IDB
-                resuming_here = (
-                    resume_from is not None
-                    and resume_from.scc_index == scc_index
-                    and resume_from.delta is not None
-                )
-                if governor is not None:
-                    governor.check("evaluate", stats)
-                members = set(component)
-                recursive = len(component) > 1 or any(
-                    head in graph.get(head, set()) for head in component
-                )
-                rules = [r for r in program.rules if r.head.predicate in members]
-                with tracer.span(
-                    "scc",
-                    index=scc_index,
-                    members=",".join(sorted(members)),
-                    recursive=recursive,
-                ):
-                    if not recursive:
-                        for rule in rules:
-                            fire_rule(eng.make_plan(rule, None), None, None, scc_index, None)
-                        continue
-                    # Semi-naive iteration inside a recursive SCC.
-                    exit_rules = []
-                    delta_rules: list[tuple[Rule, int]] = []
-                    for rule in rules:
-                        recursive_positions = [
-                            i
-                            for i, item in enumerate(rule.body)
-                            if isinstance(item, Literal) and item.positive and item.predicate in members
-                        ]
-                        if not recursive_positions:
-                            exit_rules.append(rule)
-                        else:
-                            for pos in recursive_positions:
-                                delta_rules.append((rule, pos))
-                    if resuming_here:
-                        # The snapshot was taken at a round boundary of this
-                        # SCC: its exit rules already fired (their facts are
-                        # in the seeded IDB), so restore the frontier and
-                        # iteration cursor instead of re-deriving round one.
-                        assert resume_from is not None and resume_from.delta is not None
-                        delta = {}
-                        for pred in members:
-                            rel = database.new_relation(program.arity_of(pred))
-                            for row in resume_from.delta.get(pred, ()):
-                                rel.add(row)
-                            delta[pred] = rel
-                        iterations = resume_from.iteration
-                    else:
-                        delta = {
-                            pred: database.new_relation(program.arity_of(pred))
-                            for pred in members
-                        }
-                        for rule in exit_rules:
-                            fire_rule(eng.make_plan(rule, None), None, delta, scc_index, None)
-                        iterations = 0
-                    # Delta plans are compiled after the exit rules fired, so
-                    # cost estimates see the exit-layer IDB sizes; each (rule,
-                    # delta-position) is compiled exactly once per SCC.
-                    delta_joins = [
-                        eng.make_plan(rule, pos) for rule, pos in delta_rules
-                    ]
-                    while any(len(d) for d in delta.values()):
-                        iterations += 1
-                        if max_iterations is not None and iterations > max_iterations:
-                            break
-                        stats.iterations += 1
-                        if governor is not None:
-                            governor.check("evaluate", stats)
-                        if trace_on:
-                            tracer.event(
-                                "iteration",
-                                scc=scc_index,
-                                index=iterations,
-                                delta_in=sum(len(d) for d in delta.values()),
-                            )
-                        new_delta: dict[str, Relation] = {
-                            pred: database.new_relation(program.arity_of(pred))
-                            for pred in members
-                        }
-                        for plan in delta_joins:
-                            delta_rel = delta[plan.delta_predicate]
-                            if not len(delta_rel):
-                                continue
-                            fire_rule(plan, delta_rel, new_delta, scc_index, iterations)
-                        delta = new_delta
-                        if checkpointing and stats.iterations % checkpoint_every == 0:
-                            checkpoint_sink(
-                                make_snapshot(scc_index, scc_index, iterations, delta)
-                            )
-            if checkpoint_sink is not None:
-                checkpoint_sink(
-                    make_snapshot(
-                        len(components), None, stats.iterations, None, complete=True
-                    )
-                )
-            if trace_on:
-                root.set(
-                    **{k: v for k, v in stats.as_dict().items() if isinstance(v, int)}
-                )
-    except EvaluationAborted as exc:
-        stats.budget_trips += 1
-        sync_intern_hits()
-        stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        if trace_on:
-            tracer.event(
-                "budget.trip",
-                phase=exc.phase or "evaluate",
-                limit=exc.limit or "",
-                facts_derived=stats.facts_derived,
-                iterations=stats.iterations,
-            )
-        raise exc.with_context(
-            phase="evaluate", partial=partial_result(), stats=stats
-        ) from None
-    sync_intern_hits()
-    stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-    return partial_result()
+        if run.trace_on:
+            root.set(**{k: v for k, v in run.stats.as_dict().items() if isinstance(v, int)})
+    run.finish()
+    return run.result()
 
 
-def _evaluate_naive(
-    program: Program,
-    database: Database,
-    *,
-    provenance: bool = False,
-    tracer: Tracer | None = None,
-    engine: str = "slots",
-    plan_order: str = "cost",
-    storage: str | None = None,
-    budget: "Budget | Governor | None" = None,
-    cancellation: CancellationToken | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_sink: "Callable[[EvaluationSnapshot], None] | None" = None,
-    resume_from: EvaluationSnapshot | None = None,
-) -> EvaluationResult:
-    """Naive bottom-up evaluation: full re-evaluation until fixpoint.
+def _evaluate_fleet(program: Program, database: Database, *, workers: int, **kwargs) -> EvaluationResult:
+    """``evaluate(..., workers=N)``: the sharded evaluator plus its
+    degradation ladder (docs/parallel.md).
 
-    Naive snapshots carry no delta frontier — the whole IDB is the
-    state — so resumption simply re-seeds the relations and keeps
-    iterating; the naive fixpoint loop is idempotent over the seeded
-    facts.
+    A sharded run whose supervisor exhausted its recovery budget (or
+    whose pool could not warm up) is *retried* at half the worker count,
+    down to one, then sequentially — a recoverable fault costs rungs and
+    time, never the answer and never exit 2.  Budget trips and
+    cancellation are not recoverable faults: they propagate as usual
+    (exit 1).
     """
-    if tracer is None:
-        tracer = get_tracer()
-    _check_plan_order(plan_order)
-    governor = Governor.of(budget, cancellation)
-    _check_resume(resume_from, "naive", provenance)
-    database = _resolve_storage(database, storage)
-    trace_on = tracer.enabled
-    started = time.perf_counter()
-    stats = EvaluationStats()
-    base_wall = 0.0
-    interner = database.interner
-    idb: dict[str, Relation] = {
-        pred: database.new_relation(program.arity_of(pred))
-        for pred in program.idb_predicates
-    }
-    if resume_from is not None:
-        stats.merge(resume_from.stats)
-        base_wall = stats.wall_time_seconds
-        if interner is not None and resume_from.interner is not None:
-            for value in resume_from.interner:
-                interner.intern(value)
-        for pred, rows in resume_from.idb.items():
-            if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-    base_intern = stats.intern_hits
-    hits0 = 0 if interner is None else interner.hits
+    # Imported lazily: repro.parallel imports this module at its top level.
+    from ..parallel.engine import WorkerFailure, evaluate_sharded
 
-    def sync_intern_hits() -> None:
-        if interner is not None:
-            stats.intern_hits = base_intern + interner.hits - hits0
-
-    prov: dict[Fact, tuple[Rule, tuple[Fact, ...]]] | None = {} if provenance else None
-    idb_preds = program.idb_predicates
-    eng = _make_engine(engine, program, database, idb, plan_order, tracer)
-    checkpointing = checkpoint_sink is not None and checkpoint_every > 0
-
-    def make_snapshot(complete: bool = False) -> EvaluationSnapshot:
-        sync_intern_hits()
-        snap_stats = stats.copy()
-        snap_stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        return EvaluationSnapshot(
-            strategy="naive",
-            completed_sccs=0,
-            scc_index=None,
-            iteration=stats.iterations,
-            idb={pred: rel.rows() for pred, rel in idb.items()},
-            delta=None,
-            stats=snap_stats,
-            complete=complete,
-            interner=None if interner is None else tuple(interner.values),
-        )
-
-    def relation_of(predicate: str, arity: int) -> Relation:
-        if predicate in idb_preds:
-            return idb[predicate]
-        return database.relation(predicate, arity)
-
-    plans = [eng.make_plan(rule, None) for rule in program.rules]
-
-    def fire_rule(plan) -> bool:
-        head_relation = idb[plan.rule.head.predicate]
-        rows_before = stats.rows_scanned
-        results = eng.run(plan, relation_of, None, stats, governor)
-        stats.rule_firings += eng.result_count(results)
-        key = plan.rule_key
-        stats.rows_scanned_by_rule[key] = (
-            stats.rows_scanned_by_rule.get(key, 0) + stats.rows_scanned - rows_before
-        )
-        changed = eng.derive(plan, results, head_relation, None, prov, stats) > 0
-        if governor is not None:
-            governor.check("evaluate", stats)
-        return changed
-
-    def partial_result() -> EvaluationResult:
-        return EvaluationResult(
-            idb=idb, stats=stats, program=program, database=database, provenance=prov
-        )
-
-    try:
-        with tracer.span(
-            "evaluate", strategy="naive", engine=eng.name, rules=len(program.rules)
-        ) as root:
-            changed = True
-            while changed:
-                changed = False
-                stats.iterations += 1
-                if governor is not None:
-                    governor.check("evaluate", stats)
-                if trace_on:
-                    tracer.event("iteration", index=stats.iterations, delta_in=None)
-                for plan in plans:
-                    if not trace_on:
-                        changed |= fire_rule(plan)
-                        continue
-                    before = (
-                        stats.probes,
-                        stats.rows_scanned,
-                        stats.facts_derived,
-                        stats.rule_firings,
-                        stats.index_builds,
-                    )
-                    with tracer.span(
-                        "rule",
-                        predicate=plan.rule.head.predicate,
-                        rule=plan.rule_key,
-                        iteration=stats.iterations,
-                    ) as span:
-                        changed |= fire_rule(plan)
-                        span.set(
-                            firings=stats.rule_firings - before[3],
-                            probes=stats.probes - before[0],
-                            rows_scanned=stats.rows_scanned - before[1],
-                            facts_derived=stats.facts_derived - before[2],
-                            index_builds=stats.index_builds - before[4],
-                        )
-                if checkpointing and stats.iterations % checkpoint_every == 0:
-                    checkpoint_sink(make_snapshot())
-            if checkpoint_sink is not None:
-                checkpoint_sink(make_snapshot(complete=True))
-            if trace_on:
-                root.set(
-                    **{k: v for k, v in stats.as_dict().items() if isinstance(v, int)}
-                )
-    except EvaluationAborted as exc:
-        stats.budget_trips += 1
-        sync_intern_hits()
-        stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        if trace_on:
-            tracer.event(
-                "budget.trip",
-                phase=exc.phase or "evaluate",
-                limit=exc.limit or "",
-                facts_derived=stats.facts_derived,
-                iterations=stats.iterations,
+    tracer = kwargs["tracer"]
+    rungs = []
+    count = workers
+    while count >= 1:
+        rungs.append(count)
+        count //= 2
+    steps: list[FallbackStep] = []
+    carried_restarts = 0
+    carried_redispatched = 0
+    result = None
+    for rung, count in enumerate(rungs):
+        try:
+            result = evaluate_sharded(program, database, workers=count, **kwargs)
+            break
+        except WorkerFailure as exc:
+            recovery = getattr(exc, "recovery", None) or {}
+            carried_restarts += recovery.get("worker_restarts", 0)
+            carried_redispatched += recovery.get("shards_redispatched", 0)
+            fell_back_to = (
+                f"sharded-w{rungs[rung + 1]}"
+                if rung + 1 < len(rungs)
+                else "sequential-columnar"
             )
-        raise exc.with_context(
-            phase="evaluate", partial=partial_result(), stats=stats
-        ) from None
-    sync_intern_hits()
-    stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-    return partial_result()
+            step = FallbackStep(
+                stage=f"sharded-w{count}", fell_back_to=fell_back_to, reason=str(exc)
+            )
+            steps.append(step)
+            if tracer.enabled:
+                tracer.event(
+                    "shard.degrade",
+                    stage=step.stage,
+                    fell_back_to=step.fell_back_to,
+                    reason=step.reason,
+                )
+    if result is None:
+        # Every sharded rung failed: the sequential compiled engine is
+        # the ladder's floor (no fleet, nothing left to crash).
+        kwargs.pop("supervision")
+        result = evaluate(program, database, engine="slots", **kwargs)
+    if steps:
+        result.stats.degradations += len(steps)
+        result.stats.worker_restarts += carried_restarts
+        result.stats.shards_redispatched += carried_redispatched
+        result.fallbacks = tuple(steps) + tuple(result.fallbacks)
+    return result
 
 
 def evaluate_query(program: Program, database: Database) -> frozenset[Row]:

@@ -1,14 +1,10 @@
-"""Compiled slot-based join plans with cost-based body reordering.
+"""Compiled join plans with cost-based body ordering, run as block kernels.
 
 This module is the compiled counterpart of the tuple-at-a-time
-interpreter that seeded :mod:`repro.datalog.evaluation`.  A rule is
-compiled **once per (rule, delta-position)** into a :class:`RulePlan`:
+interpreter in :mod:`repro.datalog.evaluation`.  A rule is compiled
+**once per (rule, delta-position)** into a :class:`RulePlan`:
 
-* variables are mapped to integer *slots* and the environment becomes a
-  single fixed-size list that is overwritten in place while the join
-  backtracks — no per-row ``dict`` copies.  Slot ownership is static
-  (each scan step writes only the slots of variables it binds first),
-  so backtracking needs no restore pass;
+* variables are mapped to integer *slots*;
 * each positive literal compiles to a *scan* step with a precomputed
   probe-key layout (constants inlined, bound variables read from their
   slots), ``sets`` (row position → slot) for newly bound variables and
@@ -16,33 +12,23 @@ compiled **once per (rule, delta-position)** into a :class:`RulePlan`:
   whose positions are all bound compiles to an *existence check* — a
   set-membership test that scans zero rows;
 * order atoms and negated EDB literals compile to filter steps that are
-  flushed into the plan as soon as their variables are bound;
-* the steps are folded into a chain of closures at compile time, so
-  executing a plan is one call per step per surviving row.
+  flushed into the plan as soon as their variables are bound.
 
-Two body orderings are provided.  :func:`order_body_greedy` reproduces
-the seed interpreter's static order (delta literal first, then
-greedily by bound-argument count).  :func:`order_body_cost` adds a
-cost model: literals are ordered by estimated scan cost
-``relation_size × SELECTIVITY^bound_positions`` (fully bound literals
-cost nothing — they become existence checks), so small relations such
-as magic predicates are joined before large ones even when neither has
-a bound argument yet.
+Positive literals are ordered by :func:`order_body_cost`: estimated
+scan cost ``relation_size × SELECTIVITY^bound_positions`` (fully bound
+literals cost nothing — they become existence checks), so small
+relations such as magic predicates are joined before large ones even
+when neither has a bound argument yet.  :func:`order_body_greedy` is
+the interpreter's fixed order (delta literal first, then greedily by
+bound-argument count); plans compiled without a size estimator use it
+too.
 
-Relations are accessed through :meth:`Relation.index_for` /
-:meth:`Relation.all_rows`: the index for a probe's position set is
-fetched **once per rule execution** (built lazily, reused across
-semi-naive iterations) instead of once per probed row.
-
-On columnar storage (``Database(storage="columnar")``, see
-:mod:`repro.datalog.database` and ``docs/storage.md``) the same
-compiled plan executes through :meth:`RulePlan.run_blocks` instead:
-each step becomes one **batched kernel invocation over the whole
-block** of surviving bindings — a probe loop over int-code keys against
-a code-level hash index, followed by C-speed list-comprehension gathers
-of the live columns — rather than one closure call per row.  The step
-layouts (probe keys, sets, checks, filters) are shared between the two
-executors, so both compute identical results from one compilation.
+:meth:`RulePlan.run_blocks` executes a plan over columnar relations
+(:class:`~repro.datalog.database.ColumnarRelation`, see
+``docs/storage.md``): each step is one **batched kernel invocation over
+the whole block** of surviving bindings — a probe loop over int-code
+keys against a code-level hash index, followed by C-speed
+list-comprehension gathers of the live columns.
 """
 
 from __future__ import annotations
@@ -51,7 +37,6 @@ from itertools import repeat as _repeat
 from typing import Callable, Sequence
 
 from .atoms import Literal, OrderAtom, evaluate_comparison
-from .database import Relation
 from .rules import Rule
 from .terms import Constant, Variable
 
@@ -228,19 +213,14 @@ def order_body_cost(
 # index when is_slot, else an inlined constant value.
 
 
-def _project(layout, env):
-    return tuple(env[p] if s else p for s, p in layout)
-
-
 class _ScanStep:
     """Probe (or fully scan) a relation, binding fresh variable slots."""
 
-    __slots__ = ("literal", "is_delta", "rel_index", "key_positions", "key_layout", "sets", "checks")
+    __slots__ = ("literal", "is_delta", "key_positions", "key_layout", "sets", "checks")
 
-    def __init__(self, literal, is_delta, rel_index, key_positions, key_layout, sets, checks):
+    def __init__(self, literal, is_delta, key_positions, key_layout, sets, checks):
         self.literal = literal
         self.is_delta = is_delta
-        self.rel_index = rel_index
         self.key_positions = key_positions
         self.key_layout = key_layout
         self.sets = sets
@@ -251,83 +231,20 @@ class _ScanStep:
         key = f" key={list(self.key_positions)}" if self.key_positions else " full"
         return f"{tag} {self.literal!r}{key}"
 
-    def compile(self, next_fn):
-        rel_index = self.rel_index
-        layout = self.key_layout
-        sets = self.sets
-        checks = self.checks
-        if self.key_positions:
-
-            def run(env, rels, stats, out):
-                rows = rels[rel_index].get(tuple(env[p] if s else p for s, p in layout))
-                stats.probes += 1
-                if not rows:
-                    return
-                stats.rows_scanned += len(rows)
-                if checks:
-                    for row in rows:
-                        for slot, pos in sets:
-                            env[slot] = row[pos]
-                        for slot, pos in checks:
-                            if env[slot] != row[pos]:
-                                break
-                        else:
-                            next_fn(env, rels, stats, out)
-                else:
-                    for row in rows:
-                        for slot, pos in sets:
-                            env[slot] = row[pos]
-                        next_fn(env, rels, stats, out)
-
-        else:
-
-            def run(env, rels, stats, out):
-                rows = rels[rel_index]
-                stats.probes += 1
-                stats.rows_scanned += len(rows)
-                if checks:
-                    for row in rows:
-                        for slot, pos in sets:
-                            env[slot] = row[pos]
-                        for slot, pos in checks:
-                            if env[slot] != row[pos]:
-                                break
-                        else:
-                            next_fn(env, rels, stats, out)
-                else:
-                    for row in rows:
-                        for slot, pos in sets:
-                            env[slot] = row[pos]
-                        next_fn(env, rels, stats, out)
-
-        return run
-
 
 class _ExistsStep:
     """A positive literal whose positions are all bound: set membership,
     zero rows scanned."""
 
-    __slots__ = ("literal", "is_delta", "rel_index", "layout")
+    __slots__ = ("literal", "is_delta", "layout")
 
-    def __init__(self, literal, is_delta, rel_index, layout):
+    def __init__(self, literal, is_delta, layout):
         self.literal = literal
         self.is_delta = is_delta
-        self.rel_index = rel_index
         self.layout = layout
 
     def describe(self) -> str:
         return f"exists {self.literal!r}"
-
-    def compile(self, next_fn):
-        rel_index = self.rel_index
-        layout = self.layout
-
-        def run(env, rels, stats, out):
-            stats.probes += 1
-            if tuple(env[p] if s else p for s, p in layout) in rels[rel_index]:
-                next_fn(env, rels, stats, out)
-
-        return run
 
 
 class _OrderStep:
@@ -343,102 +260,30 @@ class _OrderStep:
     def describe(self) -> str:
         return f"filter {self.atom!r}"
 
-    def compile(self, next_fn):
-        ls, lp = self.left
-        rs, rp = self.right
-        op = self.atom.op
-        if op == "=":
-
-            def run(env, rels, stats, out):
-                if (env[lp] if ls else lp) == (env[rp] if rs else rp):
-                    next_fn(env, rels, stats, out)
-
-        elif op == "!=":
-
-            def run(env, rels, stats, out):
-                if (env[lp] if ls else lp) != (env[rp] if rs else rp):
-                    next_fn(env, rels, stats, out)
-
-        else:
-
-            def run(env, rels, stats, out):
-                if evaluate_comparison(
-                    env[lp] if ls else lp, env[rp] if rs else rp, op
-                ):
-                    next_fn(env, rels, stats, out)
-
-        return run
-
 
 class _NegStep:
     """A fully bound negated EDB literal: absence test against the relation."""
 
-    __slots__ = ("literal", "rel_index", "layout")
+    __slots__ = ("literal", "layout")
 
-    def __init__(self, literal, rel_index, layout):
+    def __init__(self, literal, layout):
         self.literal = literal
-        self.rel_index = rel_index
         self.layout = layout
 
     def describe(self) -> str:
         return f"neg {self.literal!r}"
 
-    def compile(self, next_fn):
-        rel_index = self.rel_index
-        layout = self.layout
-
-        def run(env, rels, stats, out):
-            if tuple(env[p] if s else p for s, p in layout) not in rels[rel_index]:
-                next_fn(env, rels, stats, out)
-
-        return run
-
-
-def _emit(env, rels, stats, out):
-    out.append(tuple(env))
-
-
-class _GovernedList(list):
-    """The result buffer of a governed rule execution.
-
-    Every emitted row ticks the governor (strided deadline/cancellation
-    check), so even a single explosive join stays cancellable without
-    recompiling the closure chain or touching the ungoverned hot path.
-    """
-
-    __slots__ = ("_governor",)
-
-    def __init__(self, governor):
-        super().__init__()
-        self._governor = governor
-
-    def append(self, item) -> None:
-        list.append(self, item)
-        self._governor.tick("rule")
-
 
 # ----------------------------------------------------------------------
 # The compiled plan
 # ----------------------------------------------------------------------
-class _RelSpec:
-    """How one step's relation is resolved and accessed at run time."""
-
-    __slots__ = ("predicate", "arity", "is_delta", "kind", "key_positions")
-
-    def __init__(self, predicate, arity, is_delta, kind, key_positions):
-        self.predicate = predicate
-        self.arity = arity
-        self.is_delta = is_delta
-        self.kind = kind  # "index" (hash index dict) or "rows" (row set)
-        self.key_positions = key_positions
-
-
 class RulePlan:
     """One rule compiled for one delta position (or none).
 
-    ``run`` executes the closure chain and returns the matching
-    environments as slot tuples; :meth:`head_row` / :meth:`support_rows`
-    project them onto the head and the positive body literals.
+    :meth:`run_blocks` executes the steps as block kernels and returns
+    the surviving bindings as code columns; :meth:`head_row` /
+    :meth:`support_rows` project a decoded binding onto the head and the
+    positive body literals.
     """
 
     __slots__ = (
@@ -446,21 +291,17 @@ class RulePlan:
         "rule_key",
         "delta_index",
         "delta_predicate",
-        "order",
         "num_slots",
         "slot_of",
         "steps",
-        "rel_specs",
         "head_layout",
         "support_layouts",
-        "_entry",
     )
 
-    def __init__(self, rule: Rule, delta_index: int | None, order: str, ordered_body):
+    def __init__(self, rule: Rule, delta_index: int | None, ordered_body):
         self.rule = rule
         self.rule_key = repr(rule)
         self.delta_index = delta_index
-        self.order = order
         self.delta_predicate = None
         if delta_index is not None:
             item = rule.body[delta_index]
@@ -481,7 +322,6 @@ class RulePlan:
             return (True, slot_of[arg])
 
         steps: list = []
-        rel_specs: list[_RelSpec] = []
         bound: set[Variable] = set()
         for item, is_delta in ordered_body:
             if isinstance(item, Literal) and item.positive:
@@ -502,35 +342,18 @@ class RulePlan:
                     else:
                         sets.append((slot(arg), pos))
                         fresh.add(arg)
-                rel_index = len(rel_specs)
                 if len(key_positions) == len(item.args):
                     # Fully bound: membership, no index, no rows scanned.
-                    steps.append(
-                        _ExistsStep(item, is_delta, rel_index, tuple(key_layout))
-                    )
-                    rel_specs.append(
-                        _RelSpec(item.predicate, item.atom.arity, is_delta, "rows", ())
-                    )
+                    steps.append(_ExistsStep(item, is_delta, tuple(key_layout)))
                 else:
-                    positions = tuple(key_positions)
                     steps.append(
                         _ScanStep(
                             item,
                             is_delta,
-                            rel_index,
-                            positions,
+                            tuple(key_positions),
                             tuple(key_layout),
                             tuple(sets),
                             tuple(checks),
-                        )
-                    )
-                    rel_specs.append(
-                        _RelSpec(
-                            item.predicate,
-                            item.atom.arity,
-                            is_delta,
-                            "index" if positions else "rows",
-                            positions,
                         )
                     )
                 bound |= item.variables()
@@ -540,11 +363,8 @@ class RulePlan:
                 )
             else:
                 assert isinstance(item, Literal) and not item.positive
-                rel_index = len(rel_specs)
-                layout = tuple(term_layout(arg) for arg in item.args)
-                steps.append(_NegStep(item, rel_index, layout))
-                rel_specs.append(
-                    _RelSpec(item.predicate, item.atom.arity, False, "rows", ())
+                steps.append(
+                    _NegStep(item, tuple(term_layout(arg) for arg in item.args))
                 )
 
         try:
@@ -559,7 +379,6 @@ class RulePlan:
         self.slot_of = slot_of
         self.num_slots = len(slot_of)
         self.steps = steps
-        self.rel_specs = rel_specs
         self.head_layout = head_layout
         self.support_layouts = tuple(
             tuple(
@@ -568,52 +387,6 @@ class RulePlan:
             )
             for lit in rule.positive_literals
         )
-        entry = _emit
-        for step in reversed(steps):
-            entry = step.compile(entry)
-        self._entry = entry
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        relation_of,
-        delta_relation: Relation | None,
-        stats,
-        tracer=None,
-        governor=None,
-    ):
-        """Execute the plan; return the result environments (slot tuples).
-
-        ``relation_of(predicate, arity)`` resolves non-delta relations;
-        indexes are fetched once here (built on first use, counted in
-        ``stats.index_builds`` and — under an enabled ``tracer`` —
-        reported as ``index_build`` events).  With a ``governor`` (see
-        :mod:`repro.robustness.budget`) the result buffer ticks it per
-        emitted row, keeping giant single-rule joins cancellable.
-        """
-        rels = []
-        for spec in self.rel_specs:
-            rel = delta_relation if spec.is_delta else relation_of(spec.predicate, spec.arity)
-            if spec.kind == "index":
-                if tracer is not None and not rel.has_index(spec.key_positions):
-                    rels.append(rel.index_for(spec.key_positions, stats))
-                    tracer.event(
-                        "index_build",
-                        predicate=spec.predicate,
-                        positions=",".join(map(str, spec.key_positions)),
-                        rows=len(rel),
-                        delta=spec.is_delta,
-                    )
-                else:
-                    rels.append(rel.index_for(spec.key_positions, stats))
-            else:
-                rels.append(rel.all_rows())
-        env = [None] * self.num_slots
-        out: list[tuple] = [] if governor is None else _GovernedList(governor)
-        stats.env_allocations += 1
-        self._entry(env, rels, stats, out)
-        stats.env_allocations += len(out)
-        return out
 
     # ------------------------------------------------------------------
     def run_blocks(
@@ -627,14 +400,14 @@ class RulePlan:
     ):
         """Batched execution over columnar relations: ``(n, cols)``.
 
-        The columnar counterpart of :meth:`run`.  The block state is a
+        The block state is a
         list of **code columns** indexed by slot (``None`` for slots not
         yet bound) plus the current row count ``n``; every step is one
         kernel invocation over the whole block:
 
         * *scan* — probe the code-level hash index once per input row
-          (``stats.probes`` counts input rows, identically to the
-          per-row engine; ``stats.block_probes`` counts kernel calls),
+          (``stats.probes`` counts input rows; ``stats.block_probes``
+          counts kernel calls),
           accumulate matching rowids, then gather the live columns and
           the newly bound columns with list comprehensions — the only
           per-row Python in the loop is one dict lookup;
@@ -645,9 +418,9 @@ class RulePlan:
         value the data never contained misses every bucket — it is
         **not** interned); ``=``/``!=`` filters compare codes directly,
         other comparisons decode through the interner's value table.
-        ``stats.rows_scanned`` counts exactly what the per-row engine
-        counts, so governor row budgets behave identically; a
-        ``governor`` is ticked once per kernel with the block size.
+        ``stats.rows_scanned`` counts matched index rows (full scans
+        count the whole relation per input row); a ``governor`` is
+        ticked once per kernel with the block size.
         """
         num_slots = self.num_slots
         cols: list = [None] * num_slots
@@ -853,28 +626,24 @@ class RulePlan:
 
     def __repr__(self) -> str:
         delta = "" if self.delta_index is None else f", delta={self.delta_index}"
-        return f"RulePlan({self.rule_key!r}, order={self.order}{delta})"
+        return f"RulePlan({self.rule_key!r}{delta})"
 
 
 def compile_rule(
     rule: Rule,
     delta_index: int | None = None,
     *,
-    order: str = "cost",
     size_of: SizeEstimator | None = None,
 ) -> RulePlan:
     """Compile ``rule`` into a :class:`RulePlan`.
 
-    ``order`` selects the body ordering: ``"cost"`` (requires a
-    ``size_of`` estimator; falls back to greedy without one) or
-    ``"greedy"`` (the seed interpreter's order).  ``delta_index`` marks
-    the body literal to read from the semi-naive delta relation; it is
-    always scanned first.
+    The body is cost-ordered by ``size_of`` (:func:`order_body_cost`);
+    without an estimator the greedy order is used.  ``delta_index``
+    marks the body literal to read from the semi-naive delta relation;
+    it is always scanned first.
     """
-    if order not in ("cost", "greedy"):
-        raise ValueError(f"unknown plan order {order!r} (valid: cost, greedy)")
-    if order == "cost" and size_of is not None:
+    if size_of is not None:
         ordered = order_body_cost(rule, delta_index, size_of)
     else:
         ordered = order_body_greedy(rule, delta_index)
-    return RulePlan(rule, delta_index, order, ordered)
+    return RulePlan(rule, delta_index, ordered)

@@ -102,7 +102,6 @@ class PipelineReport:
         database: Database,
         *,
         engine: str = "slots",
-        plan_order: str = "cost",
         budget: "Budget | Governor | None" = None,
         cancellation: CancellationToken | None = None,
     ) -> EvaluationResult | None:
@@ -112,7 +111,6 @@ class PipelineReport:
             self.program,
             database,
             engine=engine,
-            plan_order=plan_order,
             budget=budget,
             cancellation=cancellation,
         )
@@ -312,13 +310,12 @@ def query_atom_answers(
     query_atom: Atom,
     *,
     engine: str = "slots",
-    plan_order: str = "cost",
     budget: "Budget | Governor | None" = None,
 ) -> tuple[frozenset[Row], EvaluationResult]:
     """Evaluate ``program`` and select the rows matching ``query_atom``."""
     program = _as_query_program(program, query_atom)
     result = evaluate(
-        program, database, engine=engine, plan_order=plan_order, budget=budget
+        program, database, engine=engine, budget=budget
     )
     rows = frozenset(
         row for row in result.query_rows() if match_query_atom(row, query_atom)
@@ -364,14 +361,13 @@ def check_equivalence(
     database: Database,
     *,
     engine: str = "slots",
-    plan_order: str = "cost",
     budget: "Budget | Governor | None" = None,
 ) -> EquivalenceCheck:
     """Evaluate both programs on ``database`` and compare query answers.
 
     ``transformed`` may be a plain program, a :class:`PipelineReport`,
     a :class:`MagicProgram`, or ``None`` (an empty rewriting: the
-    transformed side answers nothing).  ``engine``/``plan_order`` select
+    transformed side answers nothing).  ``engine`` selects
     the join engine used on both sides (see
     :func:`repro.datalog.evaluation.evaluate`); ``budget`` governs both
     evaluations (a shared governor bounds their combined wall time).
@@ -381,24 +377,22 @@ def check_equivalence(
         database,
         query_atom,
         engine=engine,
-        plan_order=plan_order,
         budget=budget,
     )
     if isinstance(transformed, PipelineReport):
         result = transformed.evaluation(
-            database, engine=engine, plan_order=plan_order, budget=budget
+            database, engine=engine, budget=budget
         )
     elif isinstance(transformed, MagicProgram):
         result = evaluate(
             transformed.program,
             database,
             engine=engine,
-            plan_order=plan_order,
             budget=budget,
         )
     elif isinstance(transformed, Program):
         result = evaluate(
-            transformed, database, engine=engine, plan_order=plan_order, budget=budget
+            transformed, database, engine=engine, budget=budget
         )
     else:
         result = None

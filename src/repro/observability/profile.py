@@ -394,7 +394,6 @@ def profile_evaluation(
     *,
     strategy: str = "seminaive",
     engine: str = "slots",
-    plan_order: str = "cost",
     workers: "int | None" = None,
     supervision: "object | None" = None,
 ) -> tuple[EvaluationProfile, "EvaluationResult"]:
@@ -414,7 +413,6 @@ def profile_evaluation(
         strategy=strategy,
         tracer=tracer,
         engine=engine,
-        plan_order=plan_order,
         workers=workers,
         supervision=supervision,
     )

@@ -1,8 +1,10 @@
 """The sharded semi-naive master: hash-partitioned multiprocess evaluation.
 
-``evaluate_sharded`` mirrors the sequential seminaive driver of
-:mod:`repro.datalog.evaluation` SCC by SCC, but farms every delta join
-out to ``workers`` forked processes (:mod:`repro.parallel.worker`):
+``evaluate_sharded`` walks the SCCs like the sequential semi-naive
+driver of :mod:`repro.datalog.evaluation` and shares its run state
+(``_Run``: resume seeding, rule firing, snapshots, the budget-trip
+wrap), but farms every delta join out to ``workers`` forked processes
+(:mod:`repro.parallel.worker`):
 
 * **Sharding** — each semi-naive delta block is hash-partitioned by its
   full code row (``hash(codes) % workers``; int-tuple hashing is
@@ -59,10 +61,8 @@ from ..datalog.evaluation import (
     EvaluationResult,
     EvaluationSnapshot,
     EvaluationStats,
-    _check_plan_order,
     _check_resume,
-    _ColumnarSlotEngine,
-    _resolve_storage,
+    _Run,
     _sccs,
 )
 from ..datalog.program import Program
@@ -71,12 +71,7 @@ from ..digest import workload_digest
 from ..observability.trace import Tracer, get_tracer
 from ..persist.checkpoint import Checkpoint
 from ..robustness.budget import Budget, CancellationToken, Governor
-from ..robustness.errors import (
-    BudgetExceededError,
-    EvaluationAborted,
-    InjectedFault,
-    ReproError,
-)
+from ..robustness.errors import BudgetExceededError, InjectedFault, ReproError
 from .supervisor import DEFAULT_SUPERVISION, SupervisionPolicy
 from .worker import worker_main
 
@@ -209,48 +204,6 @@ class _DeltaBuffer:
         )
 
 
-class _ShardedEngine(_ColumnarSlotEngine):
-    """The master's local engine: columnar derive that records accepts.
-
-    Non-recursive SCCs and exit rules run on the master (they fire once
-    — forking them buys nothing); every code row the master accepts is
-    appended to the per-predicate accept log so later barriers can
-    replicate it into whichever worker mirrors turn out to need it.
-    """
-
-    name = "sharded"
-
-    def __init__(self, program, database, idb, plan_order, tracer, accept_log):
-        super().__init__(program, database, idb, plan_order, tracer)
-        self.accept_log = accept_log
-
-    def derive(self, plan, results, head_relation, sink_delta, prov, stats):
-        n, cols = results
-        if not n:
-            return 0
-        head_pred = plan.rule.head.predicate
-        intern = self.interner.intern
-        head_cols = [
-            cols[p] if s else [intern(p)] * n for s, p in plan.head_layout
-        ]
-        keys = zip(*head_cols) if head_cols else iter([()] * n)
-        live = head_relation.code_rows()
-        add_codes = head_relation.add_codes
-        sink = None if sink_delta is None else sink_delta[head_pred].add_codes
-        out = self.accept_log[head_pred]
-        new = 0
-        for codes in keys:
-            if codes in live:
-                continue
-            add_codes(codes)
-            new += 1
-            out.append(codes)
-            if sink is not None:
-                sink(codes)
-        stats.facts_derived += new
-        return new
-
-
 def _shard_rows(rows, workers: int, column: "int | None" = None):
     """Partition code rows into per-worker buckets.
 
@@ -332,7 +285,6 @@ class WorkerPool:
         database: Database,
         workers: int,
         *,
-        plan_order: str = "cost",
         idb: "dict[str, Relation] | None" = None,
     ):
         if workers < 1:
@@ -342,7 +294,6 @@ class WorkerPool:
         self.program = program
         self.database = database
         self.workers = workers
-        self.plan_order = plan_order
         _pre_intern_head_constants(program, database)
         warm = self._warm_payload(idb)
         self._ctx = _fork_context()
@@ -399,7 +350,6 @@ class WorkerPool:
         return {
             "workers": self.workers,
             "program": self.program,
-            "plan_order": self.plan_order,
             "edb": self.database.to_dict(include_interner=True),
             "envelope": envelope,
             "interner_digest": self.interner_digest,
@@ -520,8 +470,6 @@ def evaluate_sharded(
     max_iterations: int | None = None,
     strategy: str = "seminaive",
     tracer: Tracer | None = None,
-    plan_order: str = "cost",
-    storage: str | None = None,
     budget: "Budget | Governor | None" = None,
     cancellation: CancellationToken | None = None,
     checkpoint_every: int = 0,
@@ -568,56 +516,39 @@ def evaluate_sharded(
         )
     if tracer is None:
         tracer = get_tracer()
-    _check_plan_order(plan_order)
-    governor = Governor.of(budget, cancellation)
     _check_resume(resume_from, "seminaive", provenance)
-    database = _resolve_storage(database, storage).to_storage("columnar")
+    run = _Run(
+        program,
+        database,
+        engine="slots",
+        tracer=tracer,
+        governor=Governor.of(budget, cancellation),
+        resume_from=resume_from,
+    )
+    database, stats, idb, governor = run.database, run.stats, run.idb, run.governor
+    interner = run.interner
+    trace_on = run.trace_on
+    started_cpu = time.process_time()
     policy = supervision if supervision is not None else DEFAULT_SUPERVISION
     # One backoff iterator per run: every worker recovery consumes one
     # delay, so the whole evaluation is bounded to ``attempts - 1``
     # respawns before FleetExhausted asks the caller to degrade.
     retry_delays = policy.retry.delays()
 
-    trace_on = tracer.enabled
-    started = time.perf_counter()
-    started_cpu = time.process_time()
-    stats = EvaluationStats()
-    base_wall = 0.0
-    interner = database.interner
-    idb: dict[str, Relation] = {
-        pred: database.new_relation(program.arity_of(pred))
-        for pred in program.idb_predicates
-    }
-    if resume_from is not None:
-        stats.merge(resume_from.stats)
-        base_wall = stats.wall_time_seconds
-        if resume_from.interner is not None:
-            for value in resume_from.interner:
-                interner.intern(value)
-        for pred, rows in resume_from.idb.items():
-            if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-    base_intern = stats.intern_hits
-    hits0 = interner.hits
-
-    def sync_intern_hits() -> None:
-        stats.intern_hits = base_intern + interner.hits - hits0
-
     # Every code row ever accepted into the IDB, in acceptance order,
     # plus the per-predicate cursor up to which the workers have been
     # told.  Rows seeded from a resume snapshot are excluded on purpose:
-    # they ride the warm-start envelope instead.
+    # they ride the warm-start envelope instead.  Non-recursive SCCs and
+    # exit rules run on the master (they fire once — forking them buys
+    # nothing) and log their accepts here too.
     accept_log: "defaultdict[str, list[tuple]]" = defaultdict(list)
     shipped_upto: "defaultdict[str, int]" = defaultdict(int)
-    eng = _ShardedEngine(program, database, idb, plan_order, tracer, accept_log)
+    run.eng.accept_log = accept_log
     checkpointing = checkpoint_sink is not None and checkpoint_every > 0
 
     own_pool = pool is None
     if own_pool:
-        pool = WorkerPool(
-            program, database, workers, plan_order=plan_order, idb=idb
-        )
+        pool = WorkerPool(program, database, workers, idb=idb)
     else:
         if resume_from is not None:
             raise ValueError(
@@ -631,11 +562,6 @@ def evaluate_sharded(
         if pool.database is not database or pool.program is not program:
             raise ValueError(
                 "pool was built for a different program/database object"
-            )
-        if pool.plan_order != plan_order:
-            raise ValueError(
-                f"pool was built with plan_order={pool.plan_order!r}, "
-                f"evaluation asked for {plan_order!r}"
             )
 
     idb_preds = program.idb_predicates
@@ -672,80 +598,6 @@ def evaluate_sharded(
                 master_serial + path["barrier_max_cpu"], 6
             ),
         }
-
-    def make_snapshot(
-        completed: int,
-        scc_index: "int | None",
-        iteration: int,
-        delta: "dict[str, _DeltaBuffer] | None",
-        complete: bool = False,
-    ) -> EvaluationSnapshot:
-        sync_intern_hits()
-        snap_stats = stats.copy()
-        snap_stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        return EvaluationSnapshot(
-            strategy="seminaive",
-            completed_sccs=completed,
-            scc_index=scc_index,
-            iteration=iteration,
-            idb={pred: rel.rows() for pred, rel in idb.items()},
-            delta=None
-            if delta is None
-            else {pred: rel.rows() for pred, rel in delta.items()},
-            stats=snap_stats,
-            complete=complete,
-            interner=tuple(interner.values),
-        )
-
-    def relation_of(predicate: str, arity: int) -> Relation:
-        if predicate in idb_preds:
-            return idb[predicate]
-        return database.relation(predicate, arity)
-
-    def fire_rule(plan, delta_relation, sink_delta, scc_index, iteration) -> None:
-        """Run one rule locally on the master (exit / non-recursive)."""
-        head_relation = idb[plan.rule.head.predicate]
-
-        def run() -> None:
-            rows_before = stats.rows_scanned
-            results = eng.run(plan, relation_of, delta_relation, stats, governor)
-            stats.rule_firings += eng.result_count(results)
-            key = plan.rule_key
-            stats.rows_scanned_by_rule[key] = (
-                stats.rows_scanned_by_rule.get(key, 0)
-                + stats.rows_scanned
-                - rows_before
-            )
-            eng.derive(plan, results, head_relation, sink_delta, None, stats)
-            if governor is not None:
-                governor.check("evaluate", stats)
-
-        if not trace_on:
-            run()
-            return
-        before = (
-            stats.probes,
-            stats.rows_scanned,
-            stats.facts_derived,
-            stats.rule_firings,
-            stats.index_builds,
-        )
-        with tracer.span(
-            "rule",
-            predicate=plan.rule.head.predicate,
-            rule=plan.rule_key,
-            scc=scc_index,
-            iteration=iteration,
-            delta=delta_relation is not None,
-        ) as span:
-            run()
-            span.set(
-                firings=stats.rule_firings - before[3],
-                probes=stats.probes - before[0],
-                rows_scanned=stats.rows_scanned - before[1],
-                facts_derived=stats.facts_derived - before[2],
-                index_builds=stats.index_builds - before[4],
-            )
 
     def barrier(
         run_plan_ids,
@@ -1127,21 +979,13 @@ def evaluate_sharded(
         if governor is not None:
             governor.check("evaluate", stats)
 
-    def partial_result() -> EvaluationResult:
-        return EvaluationResult(
-            idb=idb,
-            stats=stats,
-            program=program,
-            database=database,
-            provenance=None,
-            shards=shard_report(),
-        )
+    run.shard_report = shard_report
 
     try:
-        with tracer.span(
+        with run.governed(), tracer.span(
             "evaluate",
             strategy="seminaive",
-            engine=eng.name,
+            engine="sharded",
             rules=len(program.rules),
             workers=pool.workers,
         ) as root:
@@ -1174,8 +1018,8 @@ def evaluate_sharded(
                 ):
                     if not recursive:
                         for _, rule in indexed_rules:
-                            fire_rule(
-                                eng.make_plan(rule, None), None, None, scc_index, None
+                            run.fire(
+                                run.plan(rule, None), None, None, scc_index, None
                             )
                         continue
                     exit_rules = []
@@ -1208,8 +1052,8 @@ def evaluate_sharded(
                             for pred in members
                         }
                         for rule in exit_rules:
-                            fire_rule(
-                                eng.make_plan(rule, None), None, delta, scc_index, None
+                            run.fire(
+                                run.plan(rule, None), None, delta, scc_index, None
                             )
                         iterations = 0
                     compile_specs = [
@@ -1321,11 +1165,11 @@ def evaluate_sharded(
                         delta = new_delta
                         if checkpointing and stats.iterations % checkpoint_every == 0:
                             checkpoint_sink(
-                                make_snapshot(scc_index, scc_index, iterations, delta)
+                                run.snapshot(scc_index, scc_index, iterations, delta)
                             )
             if checkpoint_sink is not None:
                 checkpoint_sink(
-                    make_snapshot(
+                    run.snapshot(
                         len(components), None, stats.iterations, None, complete=True
                     )
                 )
@@ -1333,24 +1177,8 @@ def evaluate_sharded(
                 root.set(
                     **{k: v for k, v in stats.as_dict().items() if isinstance(v, int)}
                 )
-    except EvaluationAborted as exc:
-        stats.budget_trips += 1
-        sync_intern_hits()
-        stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        if trace_on:
-            tracer.event(
-                "budget.trip",
-                phase=exc.phase or "evaluate",
-                limit=exc.limit or "",
-                facts_derived=stats.facts_derived,
-                iterations=stats.iterations,
-            )
-        raise exc.with_context(
-            phase="evaluate", partial=partial_result(), stats=stats
-        ) from None
     finally:
         if own_pool:
             pool.close()
-    sync_intern_hits()
-    stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-    return partial_result()
+    run.finish()
+    return run.result()

@@ -54,13 +54,15 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..datalog.atoms import Atom, Literal
-from ..datalog.database import Database, Relation, Row
+from ..datalog.atoms import Atom
+from ..datalog.database import Database, Row
 from ..datalog.evaluation import (
+    ENGINE_STORAGE,
     EvaluationResult,
     EvaluationSnapshot,
     EvaluationStats,
-    _make_engine,
+    _fixpoint,
+    _Run,
     _sccs,
     evaluate,
 )
@@ -128,8 +130,6 @@ class Session:
         constraints: Sequence[object] = (),
         strategy: str = "seminaive",
         engine: str = "slots",
-        plan_order: str = "cost",
-        storage: str | None = None,
         workers: int | None = None,
         budget: "Budget | Governor | None" = None,
         cancellation: CancellationToken | None = None,
@@ -138,13 +138,11 @@ class Session:
         throttle: float = 0.0,
     ):
         self.program = program
-        # The session evaluates (and ingests) in one storage backend for
-        # its whole life cycle; ``storage=None`` keeps the database's
-        # own.  Conversion happens once here, not per run — the workload
-        # digest is computed over decoded rows, so it is unaffected.
-        self.database = (
-            database if storage is None else database.to_storage(storage)
-        )
+        # The session evaluates (and ingests) in its engine's storage
+        # representation for its whole life cycle.  Conversion happens
+        # once here, not per run — the workload digest is computed over
+        # decoded rows, so it is unaffected.
+        self.database = database.to_storage(ENGINE_STORAGE[engine])
         self.store = store
         # ``journal="auto"`` (the default) co-locates the write-ahead
         # ingest journal with the checkpoint store (``<dir>/journal``);
@@ -166,7 +164,6 @@ class Session:
         self.constraints = tuple(constraints)
         self.strategy = strategy
         self.engine = engine
-        self.plan_order = plan_order
         # ``workers=N`` shards full runs and resumes across N forked
         # processes (see docs/parallel.md); incremental ingest stays
         # sequential — its delta-seeded firings are far below the
@@ -269,7 +266,6 @@ class Session:
             self.database,
             strategy=self.strategy,
             engine=self.engine,
-            plan_order=self.plan_order,
             workers=self.workers,
             budget=governor,
             tracer=self._tracer,
@@ -310,9 +306,7 @@ class Session:
         latest = self.store.latest(expect_workload=self.workload())
         if latest is None or not latest.complete:
             return None
-        outcome = self._complete_from(
-            (latest.snapshot.idb, latest.snapshot.stats), "warm", []
-        )
+        outcome = self._complete_from(latest.snapshot, "warm", [])
         outcome.resumed_seq = latest.seq
         return outcome
 
@@ -331,17 +325,15 @@ class Session:
                 normalized.append((str(predicate), tuple(row)))
         return normalized
 
-    def _prior_fixpoint(self) -> "tuple[Mapping[str, frozenset], EvaluationStats] | None":
-        """The last complete fixpoint: in-memory first, else the store."""
+    def _prior_fixpoint(self) -> "EvaluationResult | EvaluationSnapshot | None":
+        """The last complete fixpoint: the live result first, else the
+        store's newest complete snapshot."""
         if self._last is not None:
-            return (
-                {pred: rel.rows() for pred, rel in self._last.idb.items()},
-                self._last.stats,
-            )
+            return self._last
         if self.store is not None:
             latest = self.store.latest(expect_workload=self.workload())
             if latest is not None and latest.complete:
-                return latest.snapshot.idb, latest.snapshot.stats
+                return latest.snapshot
         return None
 
     def _negated_predicates(self) -> set[str]:
@@ -482,17 +474,8 @@ class Session:
             return fresh
 
         assert prior is not None
-        prior_idb, prior_stats = prior
-        idb, stats = self._incremental_fixpoint(
-            new_rows, prior_idb, prior_stats, governor
-        )
-        result = EvaluationResult(
-            idb=idb, stats=stats, program=self.program, database=self.database
-        )
-        self._last = result
-        outcome = self._checkpoint_complete(
-            result, "incremental", fallback_chain, governor
-        )
+        run = self._incremental_fixpoint(new_rows, prior, governor)
+        outcome = self._checkpoint_complete(run, "incremental", fallback_chain, governor)
         self._mark_covered(journaled_seq, outcome)
         return outcome
 
@@ -657,7 +640,7 @@ class Session:
             compactable = max(compactable, covered[-1].seq)
         if compactable:
             self._covered_seq = max(self._covered_seq, compactable)
-        prior = (checkpoint.snapshot.idb, checkpoint.snapshot.stats)
+        prior = checkpoint.snapshot
 
         if not suffix:
             # Pure warm restore: the newest complete checkpoint already
@@ -697,16 +680,8 @@ class Session:
             self._mark_covered(suffix[-1].seq, outcome)
             return outcome
 
-        idb, stats = self._incremental_fixpoint(
-            new_rows, prior[0], prior[1], governor
-        )
-        result = EvaluationResult(
-            idb=idb, stats=stats, program=self.program, database=self.database
-        )
-        self._last = result
-        outcome = self._checkpoint_complete(
-            result, "recovered", fallback_chain, governor
-        )
+        run = self._incremental_fixpoint(new_rows, prior, governor)
+        outcome = self._checkpoint_complete(run, "recovered", fallback_chain, governor)
         outcome.resumed_seq = checkpoint.seq
         outcome.replayed = len(covered) + len(suffix)
         self._mark_covered(suffix[-1].seq, outcome)
@@ -720,50 +695,66 @@ class Session:
         info["lag"] = self.journal.lag(max(self._covered_seq, info["covered_seq"]))
         return info
 
+    def _continue_from(
+        self,
+        prior: "EvaluationResult | EvaluationSnapshot",
+        governor: Governor | None = None,
+    ) -> _Run:
+        """A run state holding the prior complete fixpoint.
+
+        A live in-memory result is continued from copies of its
+        relations — code-level copies on columnar storage, so nothing is
+        re-interned and built indexes carry over — leaving the prior
+        itself untouched (a failed ingest keeps it intact).  A snapshot
+        loaded from the store is rebuilt from its rows.
+        """
+        kwargs: dict = {}
+        if isinstance(prior, EvaluationResult):
+            kwargs["idb"] = {pred: rel.copy() for pred, rel in prior.idb.items()}
+            kwargs["stats"] = prior.stats.copy()
+        else:
+            kwargs["resume_from"] = prior
+        return _Run(
+            self.program,
+            self.database,
+            engine=self.engine,
+            strategy=self.strategy,
+            tracer=self.tracer,
+            governor=governor,
+            phase="ingest",
+            **kwargs,
+        )
+
     def _complete_from(
         self,
-        prior: "tuple[Mapping[str, frozenset], EvaluationStats]",
+        prior: "EvaluationResult | EvaluationSnapshot",
         mode: str,
         fallback_chain: list[FallbackStep],
     ) -> SessionResult:
-        prior_idb, prior_stats = prior
-        idb = {
-            pred: self.database.new_relation(self.program.arity_of(pred))
-            for pred in self.program.idb_predicates
-        }
-        for pred, rows in prior_idb.items():
-            if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-        result = EvaluationResult(
-            idb=idb,
-            stats=prior_stats.copy(),
-            program=self.program,
-            database=self.database,
-        )
+        result = self._continue_from(prior).result()
         self._last = result
         return SessionResult(result=result, mode=mode, fallback_chain=fallback_chain)
 
     def _checkpoint_complete(
         self,
-        result: EvaluationResult,
+        run: _Run,
         mode: str,
         fallback_chain: list[FallbackStep],
         governor: Governor | None,
     ) -> SessionResult:
-        """Persist a ``complete=True`` snapshot of ``result`` (post-ingest)."""
+        """Adopt ``run``'s fixpoint and persist it as a ``complete=True``
+        snapshot (post-ingest)."""
+        result = run.result()
+        self._last = result
         counter = [0]
         sink = self._make_sink(governor, fallback_chain, counter)
         if sink is not None:
             sink(
-                EvaluationSnapshot(
-                    strategy=self.strategy,
-                    completed_sccs=len(_sccs(self.program.dependency_graph())),
-                    scc_index=None,
-                    iteration=result.stats.iterations,
-                    idb={pred: rel.rows() for pred, rel in result.idb.items()},
-                    delta=None,
-                    stats=result.stats.copy(),
+                run.snapshot(
+                    len(_sccs(self.program.dependency_graph())),
+                    None,
+                    result.stats.iterations,
+                    None,
                     complete=True,
                 )
             )
@@ -778,10 +769,9 @@ class Session:
     def _incremental_fixpoint(
         self,
         new_rows: Mapping[str, Sequence[Row]],
-        prior_idb: Mapping[str, frozenset],
-        prior_stats: EvaluationStats,
+        prior: "EvaluationResult | EvaluationSnapshot",
         governor: Governor | None,
-    ) -> tuple[dict[str, Relation], EvaluationStats]:
+    ) -> _Run:
         """Delta-seeded re-derivation over the updated database.
 
         ``changed`` carries, per predicate, the rows that are new since
@@ -795,98 +785,21 @@ class Session:
         has some body position holding a new fact, so it is reached by
         one of these firings — which is the differentiation-correctness
         argument (Bancilhon–Ramakrishnan) behind row-identity with
-        recomputation.
+        recomputation.  The rounds are those of the shared driver
+        (:func:`~repro.datalog.evaluation._fixpoint`).
         """
-        program, database = self.program, self.database
-        tracer = self.tracer
-        started = time.perf_counter()
-        stats = prior_stats.copy()
-        base_wall = stats.wall_time_seconds
-        idb: dict[str, Relation] = {
-            pred: database.new_relation(program.arity_of(pred))
-            for pred in program.idb_predicates
-        }
-        for pred, rows in prior_idb.items():
-            if pred in idb:
-                for row in rows:
-                    idb[pred].add(row)
-        idb_preds = program.idb_predicates
-        eng = _make_engine(self.engine, program, database, idb, self.plan_order, tracer)
-
-        def relation_of(predicate: str, arity: int) -> Relation:
-            if predicate in idb_preds:
-                return idb[predicate]
-            return database.relation(predicate, arity)
-
-        changed: dict[str, Relation] = {}
+        run = self._continue_from(prior, governor)
+        database = run.database
+        changed = {}
         for pred, rows in new_rows.items():
             rel = database.new_relation(database.relation(pred).arity)
             for row in rows:
                 rel.add(row)
             changed[pred] = rel
-
-        def fire(plan, delta_relation: Relation, sink: dict[str, Relation]) -> None:
-            rows_before = stats.rows_scanned
-            results = eng.run(plan, relation_of, delta_relation, stats, governor)
-            stats.rule_firings += eng.result_count(results)
-            key = plan.rule_key
-            stats.rows_scanned_by_rule[key] = (
-                stats.rows_scanned_by_rule.get(key, 0) + stats.rows_scanned - rows_before
-            )
-            eng.derive(plan, results, idb[plan.rule.head.predicate], sink, None, stats)
-            if governor is not None:
-                governor.check("ingest", stats)
-
-        graph = program.dependency_graph()
-        for component in _sccs(graph):
-            members = set(component)
-            rules = [r for r in program.rules if r.head.predicate in members]
-            delta: dict[str, Relation] = {
-                pred: database.new_relation(program.arity_of(pred)) for pred in members
-            }
-            scc_new: dict[str, Relation] = {
-                pred: database.new_relation(program.arity_of(pred)) for pred in members
-            }
-            # Phase 1: seed from changed predicates outside this SCC.
-            member_positions: list[tuple] = []
-            for rule in rules:
-                for pos, item in enumerate(rule.body):
-                    if not (isinstance(item, Literal) and item.positive):
-                        continue
-                    if item.predicate in members:
-                        member_positions.append((rule, pos))
-                        continue
-                    delta_rel = changed.get(item.predicate)
-                    if delta_rel is None or not len(delta_rel):
-                        continue
-                    fire(eng.make_plan(rule, pos), delta_rel, delta)
-            for pred in members:
-                for row in delta[pred].rows():
-                    scc_new[pred].add(row)
-            # Phase 2: standard semi-naive rounds within the SCC.
-            delta_joins = [eng.make_plan(rule, pos) for rule, pos in member_positions]
-            while any(len(d) for d in delta.values()):
-                stats.iterations += 1
-                if governor is not None:
-                    governor.check("ingest", stats)
-                new_delta: dict[str, Relation] = {
-                    pred: database.new_relation(program.arity_of(pred))
-                    for pred in members
-                }
-                for plan in delta_joins:
-                    delta_rel = delta[plan.delta_predicate]
-                    if not len(delta_rel):
-                        continue
-                    fire(plan, delta_rel, new_delta)
-                for pred in members:
-                    for row in new_delta[pred].rows():
-                        scc_new[pred].add(row)
-                delta = new_delta
-            for pred in members:
-                if len(scc_new[pred]):
-                    changed[pred] = scc_new[pred]
-        stats.wall_time_seconds = base_wall + (time.perf_counter() - started)
-        return idb, stats
+        with run.governed():
+            _fixpoint(run, changed=changed)
+        run.finish()
+        return run
 
     # ------------------------------------------------------------------
     def inspect(self) -> dict:

@@ -316,6 +316,12 @@ class ServeApp:
                         f"query atom {request.goal} does not use an IDB predicate "
                         f"of program {name!r}"
                     )
+                arity = tenant.program.arity_of(request.goal.predicate)
+                if len(request.goal.args) != arity:
+                    raise UsageError(
+                        f"query atom {request.goal} has {len(request.goal.args)} "
+                        f"argument(s); {request.goal.predicate} has arity {arity}"
+                    )
                 if request.mode == "materialized":
                     response = self._answer_materialized(tenant, request)
                 else:
@@ -377,7 +383,6 @@ class ServeApp:
         result = report.evaluation(
             tenant.database,
             engine=tenant.engine,
-            plan_order=tenant.plan_order,
             budget=governor,
         )
         answers = frozenset(

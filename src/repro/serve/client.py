@@ -139,7 +139,6 @@ class ServeClient:
         facts: str | None = None,
         query: str | None = None,
         engine: str | None = None,
-        storage: str | None = None,
         workers: int | None = None,
     ) -> dict:
         payload: dict = {"program": program}
@@ -151,8 +150,6 @@ class ServeClient:
             payload["query"] = query
         if engine is not None:
             payload["engine"] = engine
-        if storage is not None:
-            payload["storage"] = storage
         if workers is not None:
             payload["workers"] = workers
         return self.request("PUT", f"/programs/{name}", payload)

@@ -33,6 +33,7 @@ import time
 from typing import TYPE_CHECKING, Iterable
 
 from ..datalog.database import Database
+from ..datalog.evaluation import ENGINE_STORAGE
 from ..persist.session import Session, SessionResult
 from ..persist.store import CheckpointStore
 from ..robustness.errors import UsageError
@@ -118,14 +119,14 @@ class Tenant:
         self.name = name
         self.program = request.program
         self.constraints = request.constraints
-        # The tenant's EDB is built directly in the requested storage
-        # backend, so queries (materialized and magic-specialized alike)
-        # evaluate on it without per-request conversion.
-        self.database = Database(request.facts, storage=request.storage)
+        # The tenant's EDB is built directly in its engine's storage
+        # representation, so queries (materialized and magic-specialized
+        # alike) evaluate on it without per-request conversion.
+        self.database = Database(
+            request.facts, storage=ENGINE_STORAGE[request.engine]
+        )
         self.engine = request.engine
-        self.plan_order = request.plan_order
         self.strategy = request.strategy
-        self.storage = request.storage
         self.workers = request.workers
         self.lock = ReadWriteLock()
         self.registered_at = time.time()
@@ -156,7 +157,6 @@ class Tenant:
             constraints=self.constraints,
             strategy=self.strategy,
             engine=self.engine,
-            plan_order=self.plan_order,
             workers=self.workers,
         )
         self.materialized: SessionResult | None = None
@@ -208,7 +208,7 @@ class Tenant:
             "constraints": len(self.constraints),
             "engine": self.engine,
             "strategy": self.strategy,
-            "storage": self.storage,
+            "storage": self.database.storage,
             "workers": self.workers,
             "mode": self.mode,
             "edb_facts": edb_facts,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from ..datalog.atoms import Atom
+from ..datalog.evaluation import REMOVED_OPTIONS
 from ..datalog.parser import parse_atom, parse_constraints, parse_facts, parse_program_and_facts
 from ..magic.pipeline import PIPELINE_ORDERS
 from ..magic.sips import STRATEGIES
@@ -84,9 +85,7 @@ class RegisterRequest:
     facts: tuple[Atom, ...]
     constraints: "tuple[IntegrityConstraint, ...]"
     engine: str
-    plan_order: str
     strategy: str
-    storage: str = "rows"
     #: Shard the tenant's materialization/resume runs across N forked
     #: worker processes (``None`` = the daemon's default; see
     #: docs/parallel.md).  Requires the slot engine and semi-naive.
@@ -115,6 +114,9 @@ class IngestRequest:
 
 def parse_register(payload: object) -> RegisterRequest:
     payload = _require_object(payload)
+    for name, reason in REMOVED_OPTIONS.items():
+        if name in payload:
+            raise UsageError(f"field {name!r} was removed: {reason}")
     source = _text_field(payload, "program", required=True)
     query = _text_field(payload, "query")
     try:
@@ -152,9 +154,7 @@ def parse_register(payload: object) -> RegisterRequest:
         facts=tuple(facts),
         constraints=constraints,
         engine=engine,
-        plan_order=_choice_field(payload, "plan_order", ("cost", "greedy"), "cost"),
         strategy=strategy,
-        storage=_choice_field(payload, "storage", ("rows", "columnar"), "rows"),
         workers=workers,
     )
 

@@ -65,7 +65,7 @@ class TestOrderings:
 class TestCompiledPlan:
     def test_fully_bound_literal_becomes_existence_check(self):
         rule = parse_rule("q(X) :- start(X), path(X, Y), end(Y).")
-        plan = compile_rule(rule, order="greedy")
+        plan = compile_rule(rule)
         assert "exists end" in plan.describe()
 
     def test_existence_check_scans_zero_rows(self):
@@ -98,30 +98,24 @@ class TestCompiledPlan:
     def test_unbound_head_variable_rejected(self):
         rule = parse_rule("p(X, Y) :- e(X, Z).")
         with pytest.raises(ValueError):
-            compile_rule(rule, order="greedy")
-
-    def test_unknown_order_rejected(self):
-        rule = parse_rule("p(X, Y) :- e(X, Y).")
-        with pytest.raises(ValueError):
-            compile_rule(rule, order="alphabetical")
+            compile_rule(rule)
 
     def test_cost_without_estimator_falls_back_to_greedy(self):
         rule = parse_rule("p(X, Y) :- e(X, Y).")
-        plan = compile_rule(rule, order="cost", size_of=None)
-        assert plan.order == "cost"
+        plan = compile_rule(rule, size_of=None)
         assert "scan e" in plan.describe()
 
-    def test_plan_run_counts_env_allocations(self):
+    def test_block_kernels_count_env_allocations(self):
         program = parse_program("p(X, Y) :- e(X, Y).", query="p")
         database = Database.from_rows({"e": [(1, 2), (3, 4)]})
         result = evaluate(program, database)
-        # One slot-list per rule execution plus one tuple per result row.
-        assert result.stats.env_allocations == 3
+        # One column block per scan step, however many rows it binds.
+        assert result.stats.env_allocations == 1
 
     def test_support_rows_follow_rule_order(self):
         rule = parse_rule("q(X) :- end(Y), e(X, Y).")
         plan = compile_rule(
-            rule, order="cost", size_of=lambda lit: {"end": 1.0, "e": 100.0}[lit.predicate]
+            rule, size_of=lambda lit: {"end": 1.0, "e": 100.0}[lit.predicate]
         )
         # Provenance supports stay in textual rule order even though the
         # plan scans end(Y) first.

@@ -18,11 +18,15 @@ from repro.datalog.database import (
     Interner,
     Relation,
 )
-from repro.datalog.evaluation import evaluate
+from repro.datalog.evaluation import ENGINE_STORAGE, evaluate
 from repro.datalog.parser import parse_program
 from repro.digest import fixpoint_digest, workload_digest
 from repro.persist.checkpoint import Checkpoint
 from repro.workloads.generators import random_workload
+
+
+#: The engine that runs on each storage representation.
+ENGINE_OF = {storage: engine for engine, storage in ENGINE_STORAGE.items()}
 
 
 # ---------------------------------------------------------------- interner
@@ -114,9 +118,22 @@ def test_columnar_copy_shares_the_interner():
     assert interner.code_of("c") is not _MISSING  # ...the dictionary is shared
 
 
+def test_columnar_copy_carries_code_indexes_and_decoded_rows_independently():
+    rel = ColumnarRelation(2, Interner(), [("a", "b"), ("a", "c")])
+    rel.index_codes((0,))
+    rel.rows()  # materializes the decoded cache
+    clone = rel.copy()
+    assert clone.has_code_index((0,))
+    clone.add(("a", "d"))
+    a = rel.interner.code_of("a")
+    assert len(clone.index_codes((0,))[a]) == 3
+    assert len(rel.index_codes((0,))[a]) == 2  # the original's index is untouched
+    assert ("a", "d") in clone.rows() and ("a", "d") not in rel.rows()
+
+
 # -------------------------------------------------------------- database
 def test_database_storage_selection_and_relation_classes():
-    db_rows = Database.from_rows({"e": [(1, 2)]})
+    db_rows = Database.from_rows({"e": [(1, 2)]}, storage="rows")
     db_col = Database.from_rows({"e": [(1, 2)]}, storage="columnar")
     assert db_rows.storage == "rows"
     assert db_col.storage == "columnar"
@@ -162,7 +179,7 @@ def test_workload_digest_is_storage_invariant():
 def test_fixpoint_digest_is_storage_invariant(storage):
     program, database, _ = random_workload(7)
     baseline = evaluate(program, database.copy())
-    result = evaluate(program, database.copy(), storage=storage)
+    result = evaluate(program, database.copy(), engine=ENGINE_OF[storage])
     assert fixpoint_digest([("w", result.idb)]) == fixpoint_digest([("w", baseline.idb)])
 
 
@@ -229,17 +246,19 @@ def test_pre_columnar_checkpoints_load_without_interner():
 @pytest.mark.parametrize("storage", STORAGES)
 def test_resume_from_mid_run_snapshot_matches_fresh_run(storage):
     """A snapshot taken mid-fixpoint resumes to the same answers the
-    uninterrupted run computes, in either backend — and a columnar
-    resume replays the snapshot's interner so code assignment (and the
-    resulting fixpoint) is reproduced exactly."""
+    uninterrupted run computes, in either representation (each under
+    the engine that runs on it) — and a columnar resume replays the
+    snapshot's interner so code assignment (and the resulting fixpoint)
+    is reproduced exactly."""
     program, database, _ = random_workload(11)
-    fresh = evaluate(program, database.copy(), storage=storage)
+    engine = ENGINE_OF[storage]
+    fresh = evaluate(program, database.copy(), engine=engine)
 
     snapshots = []
     evaluate(
         program,
         database.copy(),
-        storage=storage,
+        engine=engine,
         checkpoint_every=1,
         checkpoint_sink=snapshots.append,
     )
@@ -247,7 +266,7 @@ def test_resume_from_mid_run_snapshot_matches_fresh_run(storage):
     if storage == "columnar":
         assert partial.interner is not None
     resumed = evaluate(
-        program, database.copy(), storage=storage, resume_from=partial
+        program, database.copy(), engine=engine, resume_from=partial
     )
     assert {p: resumed.rows(p) for p in program.idb_predicates} == {
         p: fresh.rows(p) for p in program.idb_predicates

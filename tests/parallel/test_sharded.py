@@ -57,7 +57,7 @@ class TestValidation:
     def test_pool_requires_columnar_database(self):
         program, database, _ = random_workload(0)
         with pytest.raises(ValueError, match="columnar"):
-            WorkerPool(program, database, 2)  # rows backend
+            WorkerPool(program, database.to_storage("rows"), 2)
 
 
 class TestPoolMismatch:
@@ -72,14 +72,6 @@ class TestPoolMismatch:
         with WorkerPool(program, database, 2) as pool:
             with pytest.raises(ValueError, match="different program/database"):
                 evaluate_sharded(program, database.copy(), workers=2, pool=pool)
-
-    def test_plan_order_mismatch(self):
-        program, database = _workload(0, nodes=4, edges=6)
-        with WorkerPool(program, database, 2, plan_order="cost") as pool:
-            with pytest.raises(ValueError, match="plan_order"):
-                evaluate_sharded(
-                    program, database, workers=2, pool=pool, plan_order="greedy"
-                )
 
     def test_prebuilt_pool_cannot_resume(self):
         program, database = _workload(0, nodes=4, edges=6)

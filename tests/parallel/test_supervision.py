@@ -35,7 +35,7 @@ def _digest(result):
 @pytest.fixture()
 def reference():
     program, database = _workload()
-    return evaluate(program, database.copy(), engine="slots", storage="columnar")
+    return evaluate(program, database.copy(), engine="slots")
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +205,6 @@ class TestArmRandomDeterminism:
         configs = [
             {"engine": "interpreted"},
             {"engine": "slots"},
-            {"engine": "slots", "storage": "columnar"},
             {"workers": 1},
             {"workers": 2},
             {"workers": 4},

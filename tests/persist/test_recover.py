@@ -69,10 +69,9 @@ def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, engine, storage)
     store = FlakyStore(CheckpointStore(tmp_path), injector)
     session = Session(
         _program(),
-        _database(),
+        _database().to_storage(storage),
         store=store,
         engine=engine,
-        storage=storage,
         retry=FAST,
     )
     session.run()
@@ -83,10 +82,9 @@ def test_checkpoint_crash_recovers_every_acked_ingest(tmp_path, engine, storage)
     # -- restart --------------------------------------------------------
     fresh = Session(
         _program(),
-        _database(),
+        _database().to_storage(storage),
         store=CheckpointStore(tmp_path),
         engine=engine,
-        storage=storage,
     )
     recovered = fresh.recover()
     assert recovered.mode == "recovered"
@@ -242,13 +240,13 @@ def test_recovery_after_compaction_uses_self_contained_checkpoint(
     the checkpoint itself must carry the ingested EDB rows — recovery
     from the initial database alone still yields the full fixpoint."""
     store = CheckpointStore(tmp_path)
-    session = Session(_program(), _database(), store=store, storage=storage)
+    session = Session(_program(), _database().to_storage(storage), store=store)
     session.run()
     session.ingest([("edge", (4, 5))])
     session.ingest([("edge", (5, 6))])
     assert session.journal_info()["lag"] == 0  # fully compacted
     recovered = Session(
-        _program(), _database(), store=store, storage=storage
+        _program(), _database().to_storage(storage), store=store
     ).recover()
     assert recovered.replayed == 0
     assert _digest(recovered) == _cold_digest([(4, 5), (5, 6)])

@@ -111,6 +111,19 @@ def test_ingest_duplicate_facts_is_noop(tmp_path):
     assert outcome.result.stats.iterations == session._last.stats.iterations
 
 
+def test_failed_incremental_ingest_leaves_the_prior_fixpoint_intact():
+    # Ingest continues from copies of the live relations: a budget trip
+    # mid-ingest must not have mutated the fixpoint it started from.
+    session = Session(_program(), _database())
+    prior = session.run().result
+    before = _rows(prior)
+    session.budget = Budget(max_facts=prior.stats.facts_derived)
+    with pytest.raises(BudgetExceededError):
+        session.ingest([("edge", (5, 6))])
+    assert _rows(prior) == before
+    assert session._last is prior
+
+
 def test_ingest_negated_predicate_falls_back_to_recompute():
     program = parse_program(
         """

@@ -84,6 +84,25 @@ class TestRunExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, replacement",
+        [
+            ("run", "--storage=columnar", "storage follows the engine"),
+            ("run", "--plan-order=greedy", "cost order is the only compiled order"),
+            ("bench", "--storage=rows", "storage follows the engine"),
+        ],
+    )
+    def test_removed_flag_exits_two_naming_its_replacement(
+        self, files, capsys, command, flag, replacement
+    ):
+        argv = [command, flag]
+        if command == "run":
+            argv = ["run", files["program.dl"], "--query", "p", flag]
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag.split("=")[0] in err and replacement in err
+
     def test_missing_query_exits_two(self, files, capsys):
         code = main(["run", files["program.dl"], "--data", files["facts.dl"]])
         assert code == 2

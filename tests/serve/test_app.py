@@ -135,6 +135,38 @@ class TestRoutes:
         assert status == 400
         assert "IDB" in payload["error"]
 
+    @pytest.mark.parametrize("mode", ["magic", "materialized"])
+    def test_wrong_arity_goal_is_400(self, mode):
+        # p is binary: a ternary goal must be refused before the mode
+        # dispatch — never a 500 (magic) or zipped wrong answers
+        # (materialized).
+        app = ServeApp()
+
+        async def drive():
+            await register(app, "alpha", ALPHA)
+            return await app.handle(
+                "POST", "/programs/alpha/query", {"goal": "p(1, X, Y)", "mode": mode}
+            )
+
+        status, payload = run(drive())
+        assert status == 400, payload
+        assert "arity 2" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "field, value, replacement",
+        [
+            ("storage", "columnar", "storage follows the engine"),
+            ("plan_order", "greedy", "cost order is the only compiled order"),
+        ],
+    )
+    def test_removed_register_field_is_400(self, field, value, replacement):
+        app = ServeApp()
+        status, payload = run(
+            app.handle("PUT", "/programs/alpha", {**ALPHA, field: value})
+        )
+        assert status == 400
+        assert field in payload["error"] and replacement in payload["error"]
+
     def test_materialized_mode_answers_from_resident_fixpoint(self):
         app = ServeApp()
 

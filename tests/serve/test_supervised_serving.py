@@ -191,7 +191,7 @@ class TestDegradedRegistration:
             injector = FaultInjector().arm("shard.dispatch", times=500)
             with chaos(injector):
                 payload = await register(
-                    app, "alpha", {**ALPHA, "workers": 2, "storage": "columnar"}
+                    app, "alpha", {**ALPHA, "workers": 2}
                 )
             # The answer materialized anyway (degradation, not failure)
             # and the ladder rungs are visible in the register response.

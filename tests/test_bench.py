@@ -50,13 +50,13 @@ def test_fixpoints_identical_across_engines(quick_payload):
 def test_magic_workload_scans_fewer_rows_on_compiled_engine(quick_payload):
     entry = quick_payload["workloads"]["bench_magic"]
     interpreted = entry["engines"]["interpreted"]["stats"]["rows_scanned"]
-    cost = entry["engines"]["slots-cost"]["stats"]["rows_scanned"]
+    cost = entry["engines"]["slots"]["stats"]["rows_scanned"]
     assert cost < interpreted
 
 
 def test_render_and_write(quick_payload, tmp_path):
     text = render_results(quick_payload)
-    assert "bench_taint" in text and "slots-cost" in text and "ok" in text
+    assert "bench_taint" in text and "slots" in text and "ok" in text
     path = tmp_path / "bench.json"
     write_results(quick_payload, str(path))
     assert json.loads(path.read_text())["ok"] is True
@@ -93,7 +93,7 @@ class TestWorkersAxis:
     def test_parallel_digests_gate_against_columnar(self, parallel_payload):
         assert parallel_payload["ok"] is True
         entry = parallel_payload["workloads"]["bench_scaling"]
-        reference = entry["engines"]["slots-columnar"]["fixpoint_sha256"]
+        reference = entry["engines"]["slots"]["fixpoint_sha256"]
         for run in entry["parallel"]["workers"].values():
             assert run["fixpoint_sha256"] == reference
         assert entry["parallel"]["fixpoints_match"] is True
